@@ -74,7 +74,8 @@ class LinearPredictor
   public:
     /**
      * Select @p keep features by RFE and fit OLS on them.
-     * @param drop_per_round RFE pruning batch (speed/fidelity knob)
+     * @param drop_per_round features RFE drops per refit round; 1 is
+     *        classical RFE (see stats::recursiveFeatureElimination)
      */
     void fit(const stats::Matrix &x, const stats::Vector &y,
              size_t keep, size_t drop_per_round = 1);

@@ -58,6 +58,22 @@ Matrix::operator()(size_t r, size_t c) const
     return data_[r * cols_ + c];
 }
 
+double *
+Matrix::rowData(size_t r)
+{
+    if (r >= rows_)
+        panicf("Matrix: row ", r, " in ", rows_, "x", cols_);
+    return data_.data() + r * cols_;
+}
+
+const double *
+Matrix::rowData(size_t r) const
+{
+    if (r >= rows_)
+        panicf("Matrix: row ", r, " in ", rows_, "x", cols_);
+    return data_.data() + r * cols_;
+}
+
 Vector
 Matrix::row(size_t r) const
 {
@@ -104,12 +120,15 @@ Matrix::multiply(const Matrix &other) const
                other.rows_, "x", other.cols_);
     Matrix out(rows_, other.cols_);
     for (size_t r = 0; r < rows_; ++r) {
+        const double *lhs = rowData(r);
+        double *dst = out.rowData(r);
         for (size_t k = 0; k < cols_; ++k) {
-            const double v = (*this)(r, k);
+            const double v = lhs[k];
             if (v == 0.0)
                 continue;
+            const double *rhs = other.rowData(k);
             for (size_t c = 0; c < other.cols_; ++c)
-                out(r, c) += v * other(k, c);
+                dst[c] += v * rhs[c];
         }
     }
     return out;
@@ -210,35 +229,43 @@ solveLinearSystem(Matrix a, Vector b)
         panicf("solveLinearSystem: need square system, got ",
                a.rows(), "x", a.cols(), " with b of ", b.size());
 
+    // Row table: pivoting swaps row pointers rather than row
+    // contents. Every column index below is < n == a.cols().
+    std::vector<double *> row(n);
+    for (size_t r = 0; r < n; ++r)
+        row[r] = a.rowData(r);
+
     for (size_t k = 0; k < n; ++k) {
         // Partial pivoting: bring the largest remaining |pivot| up.
         size_t pivot = k;
         for (size_t r = k + 1; r < n; ++r)
-            if (std::fabs(a(r, k)) > std::fabs(a(pivot, k)))
+            if (std::fabs(row[r][k]) > std::fabs(row[pivot][k]))
                 pivot = r;
-        if (std::fabs(a(pivot, k)) < 1e-12)
+        if (std::fabs(row[pivot][k]) < 1e-12)
             panicf("solveLinearSystem: singular matrix at column ", k);
         if (pivot != k) {
-            for (size_t c = 0; c < n; ++c)
-                std::swap(a(k, c), a(pivot, c));
+            std::swap(row[k], row[pivot]);
             std::swap(b[k], b[pivot]);
         }
+        const double *pivot_row = row[k];
         for (size_t r = k + 1; r < n; ++r) {
-            const double factor = a(r, k) / a(k, k);
+            double *target = row[r];
+            const double factor = target[k] / pivot_row[k];
             if (factor == 0.0)
                 continue;
             for (size_t c = k; c < n; ++c)
-                a(r, c) -= factor * a(k, c);
+                target[c] -= factor * pivot_row[c];
             b[r] -= factor * b[k];
         }
     }
 
     Vector x(n, 0.0);
     for (size_t ri = n; ri-- > 0;) {
+        const double *coeffs = row[ri];
         double sum = b[ri];
         for (size_t c = ri + 1; c < n; ++c)
-            sum -= a(ri, c) * x[c];
-        x[ri] = sum / a(ri, ri);
+            sum -= coeffs[c] * x[c];
+        x[ri] = sum / coeffs[ri];
     }
     return x;
 }

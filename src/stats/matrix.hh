@@ -3,9 +3,12 @@
  * Dense matrix / vector algebra for the regression pipeline.
  *
  * Small, row-major, double-precision matrices. The prediction
- * problems in the paper involve at most ~100 samples x ~101 features,
- * so simplicity and numerical robustness (Householder QR for least
- * squares, partial pivoting for solves) beat raw throughput here.
+ * problems in the paper involve at most a few hundred samples x ~101
+ * features, so numerical robustness (Householder QR for least
+ * squares, partial pivoting for solves) comes first. Element access
+ * is bounds-checked; the two hot kernels, the matrix product and the
+ * O(n^3) elimination of solveLinearSystem (RFE runs ~100 of those per
+ * fit), check their shapes once and then walk rows through rowData().
  */
 
 #ifndef VMARGIN_STATS_MATRIX_HH
@@ -38,9 +41,17 @@ class Matrix
     size_t rows() const { return rows_; }
     size_t cols() const { return cols_; }
 
-    /** Element access; bounds-checked via assertions in debug. */
+    /** Element access; panics when out of range. */
     double &operator()(size_t r, size_t c);
     double operator()(size_t r, size_t c) const;
+
+    /**
+     * Pointer to the cols() contiguous elements of row @p r; panics
+     * when @p r is out of range. The caller keeps column indices
+     * below cols().
+     */
+    double *rowData(size_t r);
+    const double *rowData(size_t r) const;
 
     /** Copy of row @p r. */
     Vector row(size_t r) const;

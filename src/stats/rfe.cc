@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "metrics.hh"
 #include "scaler.hh"
@@ -17,33 +18,42 @@ namespace
 {
 
 /**
- * Coefficients of a ridge fit on centered/standardized data:
- * (X^T X + lambda I)^-1 X^T y. The tiny ridge term keeps the normal
- * equations solvable when features outnumber samples (101 counters
- * vs 40-100 samples in the paper), mimicking numpy's lstsq
- * behaviour inside scikit-learn's RFE.
+ * Ridge penalty of the per-round fit on standardized data:
+ * (X^T X / n + lambda I)^-1 X^T y / n. The tiny ridge term keeps the
+ * normal equations solvable when features outnumber samples (101
+ * counters vs 40-100 samples in the paper), mimicking numpy's lstsq
+ * behaviour inside scikit-learn's RFE. Normalizing by the sample
+ * count gives lambda a scale-free meaning. PMU counters come in
+ * families that are near-exact multiples of each other (MEM_ACCESS_RD
+ * vs LD_RETIRED, ...); without a meaningful ridge the coefficients of
+ * such a family are unidentifiable and the |weight| ranking RFE
+ * relies on becomes noise.
+ */
+constexpr double kRidgeLambda = 1e-3;
+
+/**
+ * Ridge coefficients of the @p active columns, from the full-width
+ * normalized Gram matrix @p gram (X^T X / n) and @p xty (X^T y / n).
+ * Matrix::multiply sums every entry over the samples in the same
+ * order whatever columns are selected, so this sub-block is bit for
+ * bit the product a per-round fit of the selected columns would form.
  */
 Vector
-ridgeWeights(const Matrix &x, const Vector &y_centered, double lambda)
+ridgeWeights(const Matrix &gram, const Vector &xty,
+             const std::vector<size_t> &active)
 {
-    const double n = static_cast<double>(x.rows());
-    const Matrix xt = x.transposed();
-    Matrix gram = xt.multiply(x);
-    // Normalize by the sample count so lambda has a scale-free
-    // meaning, then regularize. PMU counters come in families that
-    // are near-exact multiples of each other (MEM_ACCESS_RD vs
-    // LD_RETIRED, ...); without a meaningful ridge the coefficients
-    // of such a family are unidentifiable and the |weight| ranking
-    // RFE relies on becomes noise.
-    for (size_t r = 0; r < gram.rows(); ++r)
-        for (size_t c = 0; c < gram.cols(); ++c)
-            gram(r, c) /= n;
-    for (size_t i = 0; i < gram.rows(); ++i)
-        gram(i, i) += lambda;
-    Vector xty = xt.multiply(y_centered);
-    for (auto &value : xty)
-        value /= n;
-    return solveLinearSystem(gram, xty);
+    const size_t p = active.size();
+    Matrix sub(p, p);
+    Vector rhs(p);
+    for (size_t i = 0; i < p; ++i) {
+        const double *src = gram.rowData(active[i]);
+        double *dst = sub.rowData(i);
+        for (size_t j = 0; j < p; ++j)
+            dst[j] = src[active[j]];
+        dst[i] += kRidgeLambda;
+        rhs[i] = xty[active[i]];
+    }
+    return solveLinearSystem(std::move(sub), std::move(rhs));
 }
 
 } // namespace
@@ -70,6 +80,18 @@ recursiveFeatureElimination(const Matrix &x, const Vector &y,
     for (size_t i = 0; i < y.size(); ++i)
         yc[i] = y[i] - y_mean;
 
+    // Build the Gram matrix and X^T y once; each round solves on the
+    // surviving rows and columns.
+    const Matrix xt = xs.transposed();
+    Matrix gram = xt.multiply(xs);
+    const double n = static_cast<double>(xs.rows());
+    for (size_t r = 0; r < gram.rows(); ++r)
+        for (size_t c = 0; c < gram.cols(); ++c)
+            gram(r, c) /= n;
+    Vector xty = xt.multiply(yc);
+    for (auto &value : xty)
+        value /= n;
+
     std::vector<size_t> active(x.cols());
     std::iota(active.begin(), active.end(), size_t{0});
 
@@ -77,8 +99,7 @@ recursiveFeatureElimination(const Matrix &x, const Vector &y,
     Vector weights;
 
     while (true) {
-        const Matrix sub = xs.selectColumns(active);
-        weights = ridgeWeights(sub, yc, 1e-3);
+        weights = ridgeWeights(gram, xty, active);
 
         if (active.size() == keep)
             break;

@@ -42,8 +42,11 @@ struct RfeResult
  * @param y regression targets
  * @param keep number of surviving features (1 <= keep <= cols)
  * @param drop_per_round features removed per refit round (>= 1);
- *        1 reproduces classical RFE, larger values trade fidelity
- *        for speed on wide matrices.
+ *        1 reproduces classical RFE; larger values take fewer
+ *        rounds but rank each batch from one fit. The Gram matrix
+ *        X^T X is formed once per call, so a round costs one p x p
+ *        solve over the p surviving features and no pass over the
+ *        samples.
  */
 RfeResult recursiveFeatureElimination(const Matrix &x, const Vector &y,
                                       size_t keep,

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/predictor.hh"
 #include "workloads/spec.hh"
 
@@ -160,6 +163,37 @@ TEST_F(PredictorTest, EvaluationReportsSplitSizes)
                 0.2, 0.05);
     EXPECT_EQ(eval.truth.size(), eval.testSamples);
     EXPECT_EQ(eval.predicted.size(), eval.testSamples);
+}
+
+
+uint64_t
+bitsOf(double value)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+// The RFE + OLS pipeline's exact output on the fixture: any change to
+// the stats layer must reproduce these features and bit patterns.
+TEST_F(PredictorTest, VminPipelineOutputIsPinned)
+{
+    const auto ds = buildVminDataset(*profiles_, *report_, 0);
+    const auto eval = evaluatePredictor(ds, EvaluationConfig{});
+    EXPECT_EQ(eval.selectedFeatures,
+              (std::vector<size_t>{59, 88, 34, 98, 33}));
+    EXPECT_EQ(bitsOf(eval.r2), 0x3fa35b39847ee5b0u) << eval.r2;
+    EXPECT_EQ(bitsOf(eval.rmse), 0x40139e492cd90293u) << eval.rmse;
+}
+
+TEST_F(PredictorTest, SeverityPipelineOutputIsPinned)
+{
+    const auto ds = buildSeverityDataset(*profiles_, *report_, 0);
+    const auto eval = evaluatePredictor(ds, EvaluationConfig{});
+    EXPECT_EQ(eval.selectedFeatures,
+              (std::vector<size_t>{101, 81, 88, 34, 35}));
+    EXPECT_EQ(bitsOf(eval.r2), 0x3fec1fa04d10335au) << eval.r2;
+    EXPECT_EQ(bitsOf(eval.rmse), 0x3ffa179af5c3f101u) << eval.rmse;
 }
 
 } // namespace

@@ -110,6 +110,25 @@ TEST(Matrix, InterceptColumn)
     EXPECT_DOUBLE_EQ(d(0, 1), 2.0);
 }
 
+TEST(Matrix, RowDataIsContiguousRow)
+{
+    Matrix m = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
+    const double *row = static_cast<const Matrix &>(m).rowData(1);
+    EXPECT_EQ(Vector(row, row + 3), (Vector{4, 5, 6}));
+    m.rowData(0)[2] = 9.0;
+    EXPECT_DOUBLE_EQ(m(0, 2), 9.0);
+}
+
+TEST(Matrix, DeathOnRowDataOutOfRange)
+{
+    Matrix m(2, 3);
+    EXPECT_DEATH(m.rowData(2), "row 2 in 2x3");
+    const Matrix &cm = m;
+    EXPECT_DEATH(cm.rowData(7), "row 7 in 2x3");
+    Matrix empty;
+    EXPECT_DEATH(empty.rowData(0), "row 0 in 0x0");
+}
+
 TEST(VectorOps, DotNormAddSubScale)
 {
     const Vector a{3, 4};
@@ -137,6 +156,41 @@ TEST(Solve, RequiresPivoting)
     const Vector x = solveLinearSystem(a, {3, 7});
     EXPECT_NEAR(x[0], 7.0, 1e-12);
     EXPECT_NEAR(x[1], 3.0, 1e-12);
+}
+
+TEST(Solve, PermutationNeedsEveryRowSwapped)
+{
+    // Each column's pivot sits in a different row, so the elimination
+    // swaps rows twice and back substitution must follow the swaps.
+    const Matrix a =
+        Matrix::fromRows({{0, 0, 1}, {1, 0, 0}, {0, 1, 0}});
+    const Vector x = solveLinearSystem(a, {3, 1, 2});
+    EXPECT_EQ(x, (Vector{1, 2, 3}));
+}
+
+TEST(Solve, DeathOnSingularMatrix)
+{
+    // Second row is twice the first.
+    const Matrix dependent = Matrix::fromRows({{1, 2}, {2, 4}});
+    EXPECT_DEATH(solveLinearSystem(dependent, {1, 2}),
+                 "singular matrix at column 1");
+    // A zero column is singular at that column.
+    const Matrix zero_col =
+        Matrix::fromRows({{1, 0, 2}, {3, 0, 1}, {4, 0, 5}});
+    EXPECT_DEATH(solveLinearSystem(zero_col, {1, 1, 1}),
+                 "singular matrix at column 1");
+    // Below the 1e-12 pivot threshold counts as singular.
+    const Matrix tiny = Matrix::fromRows({{1e-13, 0}, {0, 1}});
+    EXPECT_DEATH(solveLinearSystem(tiny, {1, 1}),
+                 "singular matrix at column 0");
+}
+
+TEST(Solve, DeathOnShapeMismatch)
+{
+    EXPECT_DEATH(solveLinearSystem(Matrix(2, 3), {1, 2}),
+                 "need square system, got 2x3 with b of 2");
+    EXPECT_DEATH(solveLinearSystem(Matrix::identity(2), {1, 2, 3}),
+                 "need square system, got 2x2 with b of 3");
 }
 
 TEST(Solve, RandomRoundTrip)

@@ -6,8 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <string>
+#include <tuple>
 
+#include "stats/metrics.hh"
 #include "stats/rfe.hh"
+#include "stats/scaler.hh"
 #include "util/rng.hh"
 
 namespace vmargin::stats
@@ -133,6 +139,133 @@ TEST(Rfe, ToleratesDuplicatedColumns)
         1;
     EXPECT_TRUE(has_copy);
 }
+
+/**
+ * The per-round fit RFE used before it reused one Gram matrix: every
+ * round selects the surviving columns, forms X^T X / n + lambda I and
+ * X^T y / n from them and solves. The production fit must match it
+ * bit for bit.
+ */
+RfeResult
+referenceRfe(const Matrix &x, const Vector &y, size_t keep,
+             size_t drop_per_round)
+{
+    StandardScaler scaler;
+    const Matrix xs = scaler.fitTransform(x);
+    const double y_mean = mean(y);
+    Vector yc(y.size());
+    for (size_t i = 0; i < y.size(); ++i)
+        yc[i] = y[i] - y_mean;
+
+    std::vector<size_t> active(x.cols());
+    std::iota(active.begin(), active.end(), size_t{0});
+    RfeResult result;
+    Vector weights;
+    while (true) {
+        const Matrix sub = xs.selectColumns(active);
+        const double n = static_cast<double>(sub.rows());
+        const Matrix xt = sub.transposed();
+        Matrix gram = xt.multiply(sub);
+        for (size_t r = 0; r < gram.rows(); ++r)
+            for (size_t c = 0; c < gram.cols(); ++c)
+                gram(r, c) /= n;
+        for (size_t i = 0; i < gram.rows(); ++i)
+            gram(i, i) += 1e-3;
+        Vector xty = xt.multiply(yc);
+        for (auto &value : xty)
+            value /= n;
+        weights = solveLinearSystem(gram, xty);
+
+        if (active.size() == keep)
+            break;
+        std::vector<size_t> order(active.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::sort(order.begin(), order.end(),
+                  [&](size_t a, size_t b) {
+                      return std::fabs(weights[a]) <
+                             std::fabs(weights[b]);
+                  });
+        const size_t to_drop =
+            std::min(drop_per_round, active.size() - keep);
+        std::vector<size_t> drop_positions(
+            order.begin(), order.begin() + static_cast<long>(to_drop));
+        std::sort(drop_positions.begin(), drop_positions.end(),
+                  std::greater<size_t>());
+        for (size_t pos : drop_positions) {
+            result.eliminationOrder.push_back(active[pos]);
+            active.erase(active.begin() + static_cast<long>(pos));
+        }
+    }
+    std::vector<size_t> order(active.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::fabs(weights[a]) > std::fabs(weights[b]);
+    });
+    for (size_t pos : order) {
+        result.selected.push_back(active[pos]);
+        result.finalWeights.push_back(weights[pos]);
+    }
+    return result;
+}
+
+/** Sample-matrix shape: wide like the Vmin split (32 x 101), tall
+ *  like the severity split (300 x 102). */
+struct Shape
+{
+    size_t samples;
+    size_t features;
+};
+
+/** (shape, drop_per_round, with degenerate columns). */
+using EquivalenceCase = std::tuple<Shape, size_t, bool>;
+
+class RfeReferenceEquivalence
+    : public ::testing::TestWithParam<EquivalenceCase>
+{
+};
+
+TEST_P(RfeReferenceEquivalence, MatchesPerRoundFitExactly)
+{
+    const auto [shape, drop, degenerate] = GetParam();
+    const size_t n = shape.samples;
+    auto data = makeSynthetic(n, shape.features, {2, 40, 77}, 0.1,
+                              n * 1000 + shape.features);
+    // A near-multiple of a signal column, like the PMU counter
+    // families, so the ranking leans on the ridge term.
+    for (size_t i = 0; i < n; ++i)
+        data.x(i, 60) = 3.0 * data.x(i, 40) + 1e-3 * data.x(i, 61);
+    if (degenerate) {
+        for (size_t i = 0; i < n; ++i) {
+            data.x(i, 7) = 4.25;           // zero variance
+            data.x(i, 90) = data.x(i, 77); // exact duplicate
+        }
+    }
+
+    const RfeResult expected = referenceRfe(data.x, data.y, 5, drop);
+    const RfeResult actual =
+        recursiveFeatureElimination(data.x, data.y, 5, drop);
+    EXPECT_EQ(actual.selected, expected.selected);
+    EXPECT_EQ(actual.eliminationOrder, expected.eliminationOrder);
+    EXPECT_EQ(actual.finalWeights, expected.finalWeights);
+    EXPECT_EQ(actual.eliminationOrder.size(), shape.features - 5);
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<EquivalenceCase> &info)
+{
+    const Shape shape = std::get<0>(info.param);
+    return std::to_string(shape.samples) + "x" +
+           std::to_string(shape.features) + "_drop" +
+           std::to_string(std::get<1>(info.param)) +
+           (std::get<2>(info.param) ? "_degenerate" : "_clean");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndSteps, RfeReferenceEquivalence,
+    ::testing::Combine(::testing::Values(Shape{32, 101}, Shape{300, 102}),
+                       ::testing::Values(size_t{1}, size_t{8}),
+                       ::testing::Bool()),
+    caseName);
 
 TEST(Rfe, DeathOnBadArguments)
 {
