@@ -18,10 +18,7 @@
  *    into a fat `LedgerRecord`, linear dedup scan per commit) versus
  *    `RunLedger::open()`'s bulk read + zero-copy frame cursor;
  *
- *  - **derive**: `LedgerView::deriveAll()` over the replayed records,
- *    serial versus thread-pool parallel (the parallel number only
- *    beats serial on multi-core hosts; correctness — byte-identical
- *    derived views — is asserted regardless).
+ *  - **derive**: `LedgerView::deriveAll()` over the replayed records.
  *
  * Gates (exit 1 on failure, measured at the 100k-record size):
  * append throughput >= 5x legacy with the batched policy, replay
@@ -283,8 +280,7 @@ struct SizeResult
     double appendBatchedS = 0.0; ///< flushEveryCells = 64
     double replayLegacyS = 0.0;
     double replayNewS = 0.0;
-    double deriveSerialMs = 0.0;
-    double deriveParallelMs = 0.0;
+    double deriveMs = 0.0;
     double appendSpeedup = 0.0; ///< legacy / batched
     double replaySpeedup = 0.0; ///< legacy / new
 };
@@ -328,18 +324,14 @@ newReplay(const std::string &path, size_t expect_cells,
 }
 
 double
-deriveMs(const std::vector<RunLedger::Entry> &entries, int workers,
-         std::vector<CellResult> *results_out = nullptr)
+deriveMs(const std::vector<RunLedger::Entry> &entries)
 {
     LedgerView view;
     for (const auto &entry : entries)
         view.addAll(entry.cell.runs);
     const auto begin = std::chrono::steady_clock::now();
-    view.deriveAll(workers);
-    const double ms = secondsSince(begin) * 1000.0;
-    if (results_out)
-        *results_out = view.cellResults();
-    return ms;
+    view.deriveAll();
+    return secondsSince(begin) * 1000.0;
 }
 
 SizeResult
@@ -407,30 +399,10 @@ measure(size_t records, const std::filesystem::path &dir)
     result.replayLegacyS = legacy_best;
     result.replayNewS = newReplay(new_path, result.cells, 3);
 
-    std::cerr << "    derive (serial / parallel)...\n";
+    std::cerr << "    derive...\n";
     RunLedger ledger(new_path, "bench");
     ledger.open(kBenchHeader);
-    std::vector<CellResult> serial_cells, parallel_cells;
-    result.deriveSerialMs =
-        deriveMs(ledger.entries(), 1, &serial_cells);
-    result.deriveParallelMs =
-        deriveMs(ledger.entries(), 0, &parallel_cells);
-    if (serial_cells.size() != parallel_cells.size()) {
-        std::cerr << "FAIL: serial and parallel derivation "
-                     "disagree on cell count\n";
-        std::exit(1);
-    }
-    for (size_t i = 0; i < serial_cells.size(); ++i) {
-        if (serial_cells[i].workloadId !=
-                parallel_cells[i].workloadId ||
-            serial_cells[i].analysis.vmin !=
-                parallel_cells[i].analysis.vmin) {
-            std::cerr << "FAIL: derivation determinism broken at "
-                         "cell "
-                      << i << "\n";
-            std::exit(1);
-        }
-    }
+    result.deriveMs = deriveMs(ledger.entries());
 
     result.appendSpeedup =
         result.appendBatchedS > 0.0
@@ -510,10 +482,7 @@ main(int argc, char **argv)
                   << " ms bulk (x"
                   << util::formatDouble(r.replaySpeedup, 1)
                   << "), derive "
-                  << util::formatDouble(r.deriveSerialMs, 1)
-                  << " ms serial / "
-                  << util::formatDouble(r.deriveParallelMs, 1)
-                  << " ms parallel\n";
+                  << util::formatDouble(r.deriveMs, 1) << " ms\n";
     }
 
     bool ok = true;
@@ -555,10 +524,8 @@ main(int argc, char **argv)
              << util::formatDouble(r.replayNewS, 4)
              << ",\"replay_speedup\":"
              << util::formatDouble(r.replaySpeedup, 2)
-             << ",\"derive_serial_ms\":"
-             << util::formatDouble(r.deriveSerialMs, 3)
-             << ",\"derive_parallel_ms\":"
-             << util::formatDouble(r.deriveParallelMs, 3) << "}";
+             << ",\"derive_ms\":"
+             << util::formatDouble(r.deriveMs, 3) << "}";
     }
     json << "],\"append_speedup_100k\":"
          << util::formatDouble(big.appendSpeedup, 2)

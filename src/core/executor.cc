@@ -12,25 +12,6 @@
 namespace vmargin
 {
 
-namespace
-{
-
-/** One cell of the sweep, in canonical (workload-major) order. */
-struct PlanEntry
-{
-    const wl::WorkloadProfile *workload = nullptr;
-    CoreId core = 0;
-
-    /** Journal- or cache-served measurement; runs fresh when unset. */
-    CellMeasurement replayed;
-    bool fromJournal = false;
-    bool fromCache = false;
-
-    bool fresh() const { return !fromJournal && !fromCache; }
-};
-
-} // namespace
-
 CellMeasurement
 measureCellWith(CampaignRunner &runner,
                 const wl::WorkloadProfile &workload, CoreId core,
@@ -73,6 +54,32 @@ measureCellWith(CampaignRunner &runner,
     return cell;
 }
 
+namespace
+{
+
+/** One (chip, workload, core) cell of the sweep, chip-major in
+ *  canonical chip order, workload-major and core-minor within. */
+struct PlanEntry
+{
+    size_t chipIndex = 0;
+    const wl::WorkloadProfile *workload = nullptr;
+    CoreId core = 0;
+
+    /** Journal- or cache-served measurement; runs fresh when unset. */
+    CellMeasurement replayed;
+    bool fromJournal = false;
+    bool fromCache = false;
+
+    bool fresh() const { return !fromJournal && !fromCache; }
+};
+
+/**
+ * Fold one measured (or replayed) cell into a report being
+ * assembled: runs stream into @p view and the report's aggregate
+ * counters, while a cell whose every run was lost to management
+ * faults is degraded — accounted and omitted — rather than aborting
+ * the sweep.
+ */
 void
 mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
                     const CellMeasurement &cell)
@@ -99,42 +106,50 @@ mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
     report.telemetry.merge(cell.telemetry);
 }
 
-CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
-    : prototype_(prototype)
+/**
+ * The telemetry one sweep books, fetched once per runSweep() under
+ * the entry point's key prefix. Cell counts are exact; spans are
+ * scheduling-class by nature.
+ */
+struct SweepStats
 {
-    if (!prototype_)
-        util::panicf("CampaignExecutor: null platform");
-}
+    explicit SweepStats(const std::string &prefix) : prefix(prefix) {}
 
-namespace
-{
+    obs::Counter &counter(const std::string &name)
+    {
+        return reg.counter(prefix + "." + name);
+    }
+    obs::SpanStat &span(const std::string &name)
+    {
+        return reg.span(prefix + "." + name);
+    }
 
-/** The executor's telemetry handles, fetched once per run(). */
-struct ExecutorStats
-{
+    const std::string prefix;
     obs::Registry &reg = obs::Registry::global();
-    obs::Counter &cellsPlanned =
-        reg.counter("executor.cells_planned");
-    obs::Counter &cellsFresh = reg.counter("executor.cells_fresh");
-    obs::Counter &cellsFromJournal =
-        reg.counter("executor.cells_from_journal");
-    obs::Counter &cacheHits = reg.counter("executor.cache_hits");
-    obs::Counter &cacheMisses =
-        reg.counter("executor.cache_misses");
-    obs::SpanStat &planSpan = reg.span("executor.plan");
-    obs::SpanStat &executeSpan = reg.span("executor.execute");
-    obs::SpanStat &mergeSpan = reg.span("executor.merge");
-    obs::SpanStat &cellSpan = reg.span("executor.cell");
-    obs::SpanStat &mergeBarrier =
-        reg.span("executor.merge_barrier");
+    obs::Counter &chips = counter("chips");
+    obs::Counter &cellsPlanned = counter("cells_planned");
+    obs::Counter &cellsFresh = counter("cells_fresh");
+    obs::Counter &cellsFromJournal = counter("cells_from_journal");
+    obs::Counter &cacheHits = counter("cache_hits");
+    obs::Counter &cacheMisses = counter("cache_misses");
+    obs::Counter &cellsMeasured = counter("cells_measured");
+    obs::SpanStat &planSpan = span("plan");
+    obs::SpanStat &executeSpan = span("execute");
+    obs::SpanStat &mergeSpan = span("merge");
+    obs::SpanStat &cellSpan = span("cell");
+    obs::SpanStat &mergeBarrier = span("merge_barrier");
+    obs::SpanStat &chipMerge = span("chip_merge");
 };
 
 } // namespace
 
-CharacterizationReport
-CampaignExecutor::run(const FrameworkConfig &config)
+std::vector<CharacterizationReport>
+runSweep(const std::vector<SweepChip> &chips,
+         const FrameworkConfig &config,
+         const std::string &journal_header, ChipRef implicit_chip,
+         const std::string &metric_prefix)
 {
-    ExecutorStats stats;
+    SweepStats stats(metric_prefix);
     // The sink (when enabled) is strictly out-of-band: it reads the
     // registry at deterministic boundaries and never feeds anything
     // back into the report.
@@ -142,91 +157,102 @@ CampaignExecutor::run(const FrameworkConfig &config)
     if (!config.telemetryPath.empty())
         sink = std::make_unique<obs::TelemetrySink>(
             config.telemetryPath);
-
-    CharacterizationReport report;
-    report.chipName = prototype_->chip().name();
-    report.corner = prototype_->chip().corner();
-    report.frequency = config.frequency;
-    const ChipRef chip = chipRefOf(*prototype_);
+    stats.chips.inc(chips.size());
 
     // The flush knobs shape durability, never measurements — they
-    // are deliberately absent from journalHeaderFor/cellConfigHash,
-    // so a journal written under one policy resumes under another.
-    // The platform's chip doubles as the implicit chip a legacy
-    // (pre-chip-dimension) journal's cells are mapped onto.
+    // are deliberately absent from the binding header and
+    // cellConfigHash, so a journal written under one policy resumes
+    // under another. One journal and one cache serve every chip: the
+    // chip dimension in the ledger index keeps their cells apart.
     std::unique_ptr<CampaignJournal> journal;
     if (!config.journalPath.empty()) {
         journal = std::make_unique<CampaignJournal>(
             config.journalPath, config.writeOptions());
-        journal->open(journalHeaderFor(config, *prototype_), chip);
+        journal->open(journal_header, implicit_chip);
     }
 
     std::unique_ptr<CellResultCache> cache;
-    Seed config_hash = 0;
+    std::vector<Seed> config_hashes(chips.size(), 0);
     if (!config.cachePath.empty()) {
         cache = std::make_unique<CellResultCache>(
             config.cachePath, config.writeOptions());
         cache->open();
-        config_hash = cellConfigHash(config, *prototype_);
+        for (size_t ci = 0; ci < chips.size(); ++ci)
+            config_hashes[ci] =
+                cellConfigHash(config, *chips[ci].prototype);
     }
 
-    // ---- plan: walk the sweep in canonical order ----------------
+    // ---- plan: chip-major walk in canonical order ----------------
     // Replays are resolved (and copied — later appends invalidate
     // the journal/cache pointers) up front; the cell budget counts
-    // only fresh cells and truncates the plan exactly where the
-    // sequential walk would have stopped.
+    // only fresh cells, sweep-wide, and truncates the plan exactly
+    // where a sequential chip-by-chip walk would have stopped.
     std::vector<PlanEntry> plan;
-    plan.reserve(config.workloads.size() * config.cores.size());
+    plan.reserve(chips.size() * config.workloads.size() *
+                 config.cores.size());
+    bool complete = true;
     int fresh_cells = 0;
     {
         obs::ScopedSpan planning(stats.planSpan);
-        for (const auto &workload : config.workloads) {
-            for (const CoreId core : config.cores) {
-                PlanEntry entry;
-                entry.workload = &workload;
-                entry.core = core;
-                const CellMeasurement *served =
-                    journal
-                        ? journal->find(chip, workload.id(), core)
-                        : nullptr;
-                if (served) {
-                    entry.fromJournal = true;
-                    stats.cellsFromJournal.inc();
-                } else if (cache &&
-                           (served = cache->find(config_hash, chip,
-                                                 workload.id(),
-                                                 core))) {
-                    entry.fromCache = true;
-                    stats.cacheHits.inc();
-                } else if (config.cellBudget > 0 &&
-                           fresh_cells >= config.cellBudget) {
-                    // Session budget spent; the journal holds what
-                    // finished, a later call picks up from here.
-                    report.complete = false;
-                    break;
-                } else {
-                    if (cache)
-                        stats.cacheMisses.inc();
-                    ++fresh_cells;
+        for (size_t ci = 0; ci < chips.size() && complete; ++ci) {
+            const ChipRef &chip = chips[ci].chip;
+            for (const auto &workload : config.workloads) {
+                for (const CoreId core : config.cores) {
+                    PlanEntry entry;
+                    entry.chipIndex = ci;
+                    entry.workload = &workload;
+                    entry.core = core;
+                    const CellMeasurement *served =
+                        journal
+                            ? journal->find(chip, workload.id(), core)
+                            : nullptr;
+                    if (served) {
+                        entry.fromJournal = true;
+                        stats.cellsFromJournal.inc();
+                    } else if (cache &&
+                               (served = cache->find(
+                                    config_hashes[ci], chip,
+                                    workload.id(), core))) {
+                        entry.fromCache = true;
+                        stats.cacheHits.inc();
+                    } else if (config.cellBudget > 0 &&
+                               fresh_cells >= config.cellBudget) {
+                        // Session budget spent; the journal holds
+                        // what finished, a later call picks up from
+                        // here.
+                        complete = false;
+                        break;
+                    } else {
+                        if (cache)
+                            stats.cacheMisses.inc();
+                        ++fresh_cells;
+                    }
+                    if (served)
+                        entry.replayed = *served;
+                    plan.push_back(std::move(entry));
                 }
-                if (served)
-                    entry.replayed = *served;
-                plan.push_back(std::move(entry));
+                if (!complete)
+                    break;
             }
-            if (!report.complete)
-                break;
         }
     }
     stats.cellsPlanned.inc(plan.size());
     stats.cellsFresh.inc(static_cast<uint64_t>(fresh_cells));
 
     // ---- execute: fresh cells fan out across the pool -----------
-    // Each task measures on a brand-new platform replica, so no
-    // cross-cell state (RNG, thermal, SLIMpro, fault streams) is
-    // shared between workers — the determinism contract. Journal
-    // and cache appends happen per completed cell (write-ahead: a
-    // killed process keeps every finished cell), in completion
-    // order, under their own locks.
+    // Each task measures on a brand-new replica of its chip's
+    // prototype, so no cross-cell state (RNG, thermal, SLIMpro,
+    // fault streams) is shared between workers — the determinism
+    // contract. Journal and cache appends happen per completed cell
+    // (write-ahead: a killed process keeps every finished cell), in
+    // completion order, under their own locks. Per-chip progress
+    // counters are registered in canonical chip order before any
+    // worker can touch them.
+    std::vector<obs::Counter *> chip_progress;
+    chip_progress.reserve(chips.size());
+    for (const SweepChip &chip : chips)
+        chip_progress.push_back(&stats.counter(
+            "chip." + chip.chip.name() + ".cells"));
     std::vector<CellMeasurement> measured(plan.size());
     {
         obs::ScopedSpan executing(stats.executeSpan);
@@ -236,16 +262,19 @@ CampaignExecutor::run(const FrameworkConfig &config)
                 continue;
             pool.submit([&, i] {
                 obs::ScopedSpan cellSpan(stats.cellSpan);
-                auto replica = prototype_->freshReplica();
+                const SweepChip &chip = chips[plan[i].chipIndex];
+                auto replica = chip.prototype->freshReplica();
                 CampaignRunner runner(replica.get());
                 CellMeasurement cell = measureCellWith(
                     runner, *plan[i].workload, plan[i].core, config);
-                cell.chip = chip;
+                cell.chip = chip.chip;
                 if (journal)
                     journal->append(cell);
                 if (cache)
-                    cache->put(config_hash, cell);
+                    cache->put(config_hashes[plan[i].chipIndex], cell);
                 measured[i] = std::move(cell);
+                stats.cellsMeasured.inc();
+                chip_progress[plan[i].chipIndex]->inc();
             });
         }
         {
@@ -254,7 +283,7 @@ CampaignExecutor::run(const FrameworkConfig &config)
         }
         // Merge barrier doubles as the durability barrier: a batched
         // group-commit policy drains here, so everything measured
-        // this session is on disk before the report is assembled.
+        // this session is on disk before the reports are assembled.
         if (journal)
             journal->flush();
         if (cache)
@@ -263,29 +292,34 @@ CampaignExecutor::run(const FrameworkConfig &config)
     if (sink)
         sink->flush(); // all execute-phase counters are booked
 
-    // ---- merge: canonical order, independent of completion ------
-    // One LedgerView pass over the merged run stream derives every
-    // cell's analysis; cells keep first-seen (= plan, = canonical)
-    // order, so the report is byte-identical for any worker count.
-    LedgerView view(config.weights);
+    // ---- merge: per chip, in plan order --------------------------
+    // One LedgerView per chip over that chip's merged run stream
+    // derives every cell's analysis; cells keep first-seen (= plan,
+    // = canonical) order, so each report is byte-identical for any
+    // worker count and chip enumeration order.
+    std::vector<CharacterizationReport> reports(chips.size());
     {
         obs::ScopedSpan merging(stats.mergeSpan);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            const CellMeasurement &cell_measured =
-                plan[i].fresh() ? measured[i] : plan[i].replayed;
-            if (plan[i].fromJournal)
-                ++report.telemetry.journalReplays;
-            if (plan[i].fromCache)
-                ++report.telemetry.cacheHits;
-            mergeCellIntoReport(report, view, cell_measured);
+        size_t i = 0;
+        for (size_t ci = 0; ci < chips.size(); ++ci) {
+            obs::ScopedSpan chipMerging(stats.chipMerge);
+            CharacterizationReport &report = reports[ci];
+            report.chipName = chips[ci].prototype->chip().name();
+            report.corner = chips[ci].prototype->chip().corner();
+            report.frequency = config.frequency;
+            report.complete = complete;
+            LedgerView view(config.weights);
+            for (; i < plan.size() && plan[i].chipIndex == ci; ++i) {
+                if (plan[i].fromJournal)
+                    ++report.telemetry.journalReplays;
+                if (plan[i].fromCache)
+                    ++report.telemetry.cacheHits;
+                mergeCellIntoReport(report, view,
+                                    plan[i].fresh() ? measured[i]
+                                                    : plan[i].replayed);
+            }
+            report.cells = std::move(view).cellResults();
         }
-        // Derive the per-cell analyses across the same worker budget
-        // the sweep ran on; cellResults() then reads the memoized
-        // analyses back in canonical order, so the report bytes are
-        // identical for any worker count (including the serial
-        // path).
-        view.deriveAll(config.workers);
-        report.cells = view.cellResults();
     }
 
     // The sink's destructor would drain too, but an explicit final
@@ -293,7 +327,26 @@ CampaignExecutor::run(const FrameworkConfig &config)
     // end-of-run line) before any caller-side snapshots.
     if (sink)
         sink->flush();
-    return report;
+    return reports;
+}
+
+CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
+    : prototype_(prototype)
+{
+    if (!prototype_)
+        util::panicf("CampaignExecutor: null platform");
+}
+
+CharacterizationReport
+CampaignExecutor::run(const FrameworkConfig &config)
+{
+    // The platform's chip doubles as the implicit chip a legacy
+    // (pre-chip-dimension) journal's cells are mapped onto.
+    const ChipRef chip = chipRefOf(*prototype_);
+    return std::move(runSweep({{chip, prototype_}}, config,
+                              journalHeaderFor(config, *prototype_),
+                              chip, "executor")
+                         .front());
 }
 
 } // namespace vmargin

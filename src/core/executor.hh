@@ -1,18 +1,22 @@
 /**
  * @file
- * Parallel campaign executor.
+ * The campaign executor: one plan -> execute -> merge sweep core
+ * behind both entry points, the single-chip CampaignExecutor and the
+ * FleetExecutor (core/fleet).
  *
  * The paper ran its characterization on three X-Gene 2 machines
  * concurrently because full V/F characterization is a multi-day
  * wall-clock problem. Our simulated sweep has the same shape and a
- * stronger property: every (workload, core) cell's measurement is a
- * pure function of its experiment coordinates — run seeds and fault
- * streams are rebased per campaign (scopeTo), never shared across
- * cells. The executor exploits that by running each in-flight cell
- * on its own fresh sim::Platform replica (same corner, serial,
- * enhancements and fault plan configuration) across a work-stealing
- * thread pool, then merging results in canonical cell order
- * (workload-major, core-minor, the FrameworkConfig list order).
+ * stronger property: every (chip, workload, core) cell's measurement
+ * is a pure function of its experiment coordinates — run seeds and
+ * fault streams are rebased per campaign (scopeTo), never shared
+ * across cells. The sweep core exploits that by running each
+ * in-flight cell on its own fresh replica of its chip's prototype
+ * platform (same corner, serial, enhancements and fault plan
+ * configuration) across a work-stealing thread pool, then merging
+ * results per chip in canonical cell order (workload-major,
+ * core-minor, the FrameworkConfig list order). A single-chip sweep
+ * is simply the one-chip case of that pipeline.
  *
  * Determinism contract: the emitted report — CSV, summary and
  * serialized form — is byte-identical for any worker count,
@@ -27,6 +31,9 @@
 #ifndef VMARGIN_CORE_EXECUTOR_HH
 #define VMARGIN_CORE_EXECUTOR_HH
 
+#include <string>
+#include <vector>
+
 #include "campaign.hh"
 #include "framework.hh"
 #include "ledger.hh"
@@ -37,8 +44,8 @@ namespace vmargin
 /**
  * Run all campaign repetitions of one (workload, core) cell through
  * @p runner and collect runs, raw logs and recovery telemetry.
- * Shared by the sequential measureCell() entry point and the
- * executor's workers (each worker passes a runner bound to its own
+ * Shared by the sequential measureCell() entry point and the sweep
+ * core's workers (each worker passes a runner bound to its own
  * platform replica).
  */
 CellMeasurement measureCellWith(CampaignRunner &runner,
@@ -46,25 +53,41 @@ CellMeasurement measureCellWith(CampaignRunner &runner,
                                 CoreId core,
                                 const FrameworkConfig &config);
 
-/**
- * Fold one measured (or replayed) cell into a report being
- * assembled: runs stream into @p view and the report's aggregate
- * counters, while a cell whose every run was lost to management
- * faults is degraded — accounted and omitted — rather than aborting
- * the sweep. Shared by the single-chip executor and the fleet
- * executor, which merge in different outer orders (canonical cell
- * order vs. canonical chip-major order) over the same per-cell
- * rule.
- */
-void mergeCellIntoReport(CharacterizationReport &report,
-                         LedgerView &view,
-                         const CellMeasurement &cell);
+/** One chip of a sweep: its data-model identity and the prototype
+ *  platform its cells replicate (read, never executed on). */
+struct SweepChip
+{
+    ChipRef chip;
+    const sim::Platform *prototype = nullptr;
+};
 
 /**
- * Schedules one characterization sweep across a thread pool. One
- * instance per characterize() call; the prototype platform is only
- * read (chip identity, fault plan configuration) and replicated —
- * never executed on — so the caller's machine state is untouched.
+ * The sweep core both executors run: plan every (chip, workload,
+ * core) cell chip-major under one fresh-cell budget, serve each from
+ * the journal, then the cache, else measure it fresh on the shared
+ * pool; flush journal and cache at the merge barrier; merge per chip
+ * in plan order.
+ *
+ * @param chips the sweep's chips, in canonical order
+ * @param config the sweep (already validated)
+ * @param journal_header binding header of config.journalPath
+ * @param implicit_chip chip a version-1 journal's cells map onto
+ * @param metric_prefix telemetry key prefix ("executor", "fleet");
+ *        every key the sweep books is named "<prefix>.<name>"
+ * @return one report per chip, in @p chips order
+ */
+std::vector<CharacterizationReport>
+runSweep(const std::vector<SweepChip> &chips,
+         const FrameworkConfig &config,
+         const std::string &journal_header, ChipRef implicit_chip,
+         const std::string &metric_prefix);
+
+/**
+ * Runs one single-chip characterization sweep: the one-chip case of
+ * runSweep(). One instance per characterize() call; the prototype
+ * platform is only read (chip identity, fault plan configuration)
+ * and replicated — never executed on — so the caller's machine
+ * state is untouched.
  */
 class CampaignExecutor
 {

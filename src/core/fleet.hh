@@ -8,9 +8,10 @@
  * set for the worst part waste margin on the others. This module
  * lifts the framework's single-chip assumption into the data model:
  * a FleetConfig names N chips (corner + serial) sharing one sweep
- * configuration, the FleetExecutor shards every (chip, workload,
- * core) cell across the same thread pool the single-chip executor
- * uses, and the FleetReport carries one CharacterizationReport per
+ * configuration, the FleetExecutor runs every (chip, workload, core)
+ * cell through the one sweep core the single-chip executor also runs
+ * (runSweep in core/executor — a single-chip sweep is a fleet of
+ * one), and the FleetReport carries one CharacterizationReport per
  * chip plus the cross-chip analytics (per-corner Vmin distribution,
  * guardband recommendation, fleet-wide energy-savings rollup).
  *
@@ -159,13 +160,13 @@ std::string fleetJournalHeaderFor(const FleetConfig &config,
                                   const sim::Platform &platform);
 
 /**
- * Schedules one fleet characterization across a thread pool. The
+ * Runs one fleet characterization through the sweep core. The
  * template platform contributes everything that is *not* per-chip —
  * platform parameters, design enhancements, fault plan — and one
  * prototype per fleet chip is stamped out with
  * Platform::freshReplica(corner, serial); each in-flight cell then
- * runs on a fresh replica of its chip's prototype, exactly the
- * single-chip executor's isolation contract.
+ * runs on a fresh replica of its chip's prototype, exactly as in a
+ * single-chip sweep.
  */
 class FleetExecutor
 {

@@ -16,7 +16,6 @@
 
 #include "severity.hh"
 #include "util/logging.hh"
-#include "util/threadpool.hh"
 
 namespace vmargin
 {
@@ -1097,15 +1096,6 @@ RunLedger::find(Seed config_hash, const ChipRef &chip,
     return findLocked(config_hash, chip.key(), workload_id, core);
 }
 
-const CellMeasurement *
-RunLedger::find(Seed config_hash, const std::string &workload_id,
-                CoreId core) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(config_hash, implicitChip_.key(), workload_id,
-                      core);
-}
-
 size_t
 RunLedger::size() const
 {
@@ -1340,35 +1330,26 @@ LedgerView::severityByVoltage(const std::string &workload_id,
 }
 
 void
-LedgerView::deriveAll(int workers) const
+LedgerView::deriveAll() const
 {
-    std::vector<const Group *> todo;
-    todo.reserve(groups_.size());
     for (const auto &group : groups_)
         if (!group.analyzed)
-            todo.push_back(&group);
-    // Groups are independent: each task writes only its own group's
-    // memoized analysis, and analyze() is a pure function of the
-    // group's accumulated effects — so the derived views are
-    // identical for any worker count, and later analysis()/
-    // cellResults() calls are pure reads.
-    util::ThreadPool::parallelFor(
-        todo.size(), workers,
-        [&](size_t i) { analyze(*todo[i]); });
+            analyze(group);
 }
 
 std::vector<CellResult>
-LedgerView::cellResults() const
+LedgerView::cellResults() &&
 {
     std::vector<CellResult> cells;
     cells.reserve(groups_.size());
-    for (const auto &group : groups_) {
+    for (auto &group : groups_) {
         if (!group.analyzed)
             analyze(group);
         CellResult cell;
         cell.workloadId = group.key.workloadId;
         cell.core = group.key.core;
-        cell.analysis = group.analysis;
+        cell.analysis = std::move(group.analysis);
+        group.analyzed = false;
         cells.push_back(std::move(cell));
     }
     return cells;

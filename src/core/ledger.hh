@@ -534,11 +534,6 @@ class RunLedger
                                 const std::string &workload_id,
                                 CoreId core) const;
 
-    /** Convenience lookup on the implicit chip passed to open(). */
-    const CellMeasurement *find(Seed config_hash,
-                                const std::string &workload_id,
-                                CoreId core) const;
-
     /**
      * Append a cell's run records plus its commit frame and flush.
      * The cell's chip coordinate is part of the key and (in
@@ -662,19 +657,18 @@ class LedgerView
                       CoreId core) const;
 
     /**
-     * Derive every not-yet-analyzed cell's region analysis across
-     * @p workers threads (0 = hardware concurrency, <= 1 or fewer
-     * than two pending cells = inline serial). Per-cell derivation
-     * is independent — each task writes only its own group's
-     * memoized analysis — and results are read back in canonical
-     * first-seen order, so the derived views are identical for any
-     * worker count. analysis()/cellResults() after deriveAll() are
-     * pure reads.
+     * Derive every not-yet-analyzed cell's region analysis, serially
+     * in first-seen order. analysis() after deriveAll() is a pure
+     * read.
      */
-    void deriveAll(int workers = 0) const;
+    void deriveAll() const;
 
-    /** All cells' results in first-seen order. */
-    std::vector<CellResult> cellResults() const;
+    /**
+     * All cells' results in first-seen order, consuming the view:
+     * each memoized analysis is moved into its result rather than
+     * copied (a later read of the view re-derives it).
+     */
+    std::vector<CellResult> cellResults() &&;
 
     const SeverityWeights &weights() const { return weights_; }
 

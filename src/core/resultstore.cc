@@ -158,7 +158,7 @@ deserializeReport(const std::string &text,
     report.totalRuns = report.allRuns.size();
     // Cells come out in first-seen order — the view preserves the
     // stream order, which is the report's canonical cell order.
-    report.cells = view.cellResults();
+    report.cells = std::move(view).cellResults();
     return report;
 }
 
@@ -305,26 +305,12 @@ CampaignJournal::open(const std::string &header,
                  implicit_chip);
 }
 
-bool
-CampaignJournal::has(const std::string &workload_id,
-                     CoreId core) const
-{
-    return find(workload_id, core) != nullptr;
-}
-
 const CellMeasurement *
 CampaignJournal::find(const ChipRef &chip,
                       const std::string &workload_id,
                       CoreId core) const
 {
     return ledger_.find(0, chip, workload_id, core);
-}
-
-const CellMeasurement *
-CampaignJournal::find(const std::string &workload_id,
-                      CoreId core) const
-{
-    return ledger_.find(0, workload_id, core);
 }
 
 size_t

@@ -133,18 +133,10 @@ class CampaignJournal
     void open(const std::string &header,
               ChipRef implicit_chip = {});
 
-    /** True when the cell is already journaled on the implicit
-     *  chip. */
-    bool has(const std::string &workload_id, CoreId core) const;
-
     /** Journaled measurement for the cell on @p chip, or nullptr.
      *  The pointer is invalidated by the next append(). */
     const CellMeasurement *find(const ChipRef &chip,
                                 const std::string &workload_id,
-                                CoreId core) const;
-
-    /** Lookup on the implicit chip passed to open(). */
-    const CellMeasurement *find(const std::string &workload_id,
                                 CoreId core) const;
 
     /**

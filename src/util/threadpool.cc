@@ -48,26 +48,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::parallelFor(size_t count, int workers,
-                        const std::function<void(size_t)> &fn)
-{
-    if (!fn)
-        panicf("threadpool: null parallelFor body");
-    int resolved = workers == 0 ? defaultWorkerCount() : workers;
-    if (resolved > static_cast<int>(count))
-        resolved = static_cast<int>(count);
-    if (count < 2 || resolved <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool pool(resolved);
-    for (size_t i = 0; i < count; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
-}
-
-void
 ThreadPool::submit(std::function<void()> task)
 {
     if (!task)

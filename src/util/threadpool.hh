@@ -10,7 +10,9 @@
  * worker owns a deque, pops from its own back (LIFO, cache-warm) and
  * steals from the front of a sibling's deque (FIFO, oldest work
  * first) when its own runs dry. Callers submit from outside the pool
- * and block on wait() for a barrier.
+ * and block on wait() for a barrier. Its one production client is
+ * the sweep core's fan-out of fresh cells (core/executor); ledger
+ * derivation is serial.
  *
  * The pool makes no determinism promises about *completion order* —
  * schedulers that need reproducible output must merge results in a
@@ -68,17 +70,6 @@ class ThreadPool
 
     /** Hardware concurrency, clamped to at least 1. */
     static int defaultWorkerCount();
-
-    /**
-     * Run fn(0), ..., fn(count - 1) across @p workers threads
-     * (0 selects defaultWorkerCount()) and block until all indices
-     * finished. Fewer than two indices — or a single resolved
-     * worker — runs inline on the caller with no pool at all, so
-     * the helper costs nothing in the serial case. Tasks must be
-     * independent: no ordering between indices is promised.
-     */
-    static void parallelFor(size_t count, int workers,
-                            const std::function<void(size_t)> &fn);
 
   private:
     /** One worker's stealable deque. */

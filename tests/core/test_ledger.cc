@@ -124,7 +124,7 @@ TEST(RunLedger, EmptyLedgerRoundTrips)
     reopened.open("header-v-test");
     EXPECT_EQ(reopened.size(), 0u);
     EXPECT_TRUE(reopened.entries().empty());
-    EXPECT_EQ(reopened.find(0, "any", 0), nullptr);
+    EXPECT_EQ(reopened.find(0, ChipRef{}, "any", 0), nullptr);
     std::remove(path.c_str());
 }
 
@@ -146,14 +146,14 @@ TEST(RunLedger, AppendFindRoundTripsAcrossReopen)
     reopened.open("h");
     ASSERT_EQ(reopened.size(), 2u);
     const CellMeasurement *found =
-        reopened.find(77, "bwaves/ref", 2);
+        reopened.find(77, ChipRef{}, "bwaves/ref", 2);
     ASSERT_NE(found, nullptr);
     ASSERT_EQ(found->runs.size(), cell.runs.size());
     EXPECT_EQ(found->runs[2].effects.toString(), "SC");
     EXPECT_EQ(found->watchdogInterventions, 2u);
     EXPECT_EQ(found->telemetry.retries, 5u);
     // Different config hash: not found.
-    EXPECT_EQ(reopened.find(78, "bwaves/ref", 2), nullptr);
+    EXPECT_EQ(reopened.find(78, ChipRef{}, "bwaves/ref", 2), nullptr);
     std::remove(path.c_str());
 }
 
@@ -178,7 +178,7 @@ TEST(RunLedger, TruncatedTailIsDiscarded)
     RunLedger reopened(path, "test");
     reopened.open("h");
     EXPECT_EQ(reopened.size(), 1u);
-    EXPECT_NE(reopened.find(1, "bwaves/ref", 0), nullptr);
+    EXPECT_NE(reopened.find(1, ChipRef{}, "bwaves/ref", 0), nullptr);
 
     // The torn bytes are cut from the file on open, so a resumed
     // session's re-run cell appends on a clean frame boundary.
@@ -186,7 +186,7 @@ TEST(RunLedger, TruncatedTailIsDiscarded)
     RunLedger again(path, "test");
     again.open("h");
     EXPECT_EQ(again.size(), 2u);
-    EXPECT_NE(again.find(1, "leslie3d/ref", 1), nullptr);
+    EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     std::remove(path.c_str());
 }
 
@@ -244,8 +244,8 @@ TEST(RunLedger, ChecksumMismatchSkipsRecordAndPoisonsCell)
     reopened.open("h");
     EXPECT_EQ(reopened.size(), 1u)
         << "the corrupted cell must be dropped, not half-loaded";
-    EXPECT_EQ(reopened.find(1, "bwaves/ref", 0), nullptr);
-    EXPECT_NE(reopened.find(1, "leslie3d/ref", 1), nullptr);
+    EXPECT_EQ(reopened.find(1, ChipRef{}, "bwaves/ref", 0), nullptr);
+    EXPECT_NE(reopened.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     std::remove(path.c_str());
 }
 
@@ -598,7 +598,7 @@ TEST(LedgerView, DerivesRegionsSeverityAndOrder)
     EXPECT_EQ(view.severityByVoltage("a", 0).at(925), 0.0);
     EXPECT_EQ(view.analysis("missing", 9), nullptr);
 
-    const auto cells = view.cellResults();
+    const auto cells = std::move(view).cellResults();
     ASSERT_EQ(cells.size(), 2u);
     EXPECT_EQ(cells[0].workloadId, "b");
     EXPECT_EQ(cells[1].analysis.vmin, 925);

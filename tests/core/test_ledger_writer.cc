@@ -216,7 +216,7 @@ TEST(LedgerWriter, UnflushedBatchInvisibleUntilFlush)
     RunLedger reader(copy, "test");
     reader.open("h");
     EXPECT_EQ(reader.size(), 3u);
-    EXPECT_NE(reader.find(1, "namd/ref", 4), nullptr);
+    EXPECT_NE(reader.find(1, ChipRef{}, "namd/ref", 4), nullptr);
     std::remove(path.c_str());
     std::remove(copy.c_str());
 }
@@ -323,7 +323,7 @@ TEST(CrashMatrix, CellTruncationAtEveryFrameBoundary)
         EXPECT_EQ(reopened.size(), expect + 1)
             << "after kill at " << cut
             << " bytes and one fresh append";
-        EXPECT_NE(reopened.find(3, "soplex/ref", 6), nullptr);
+        EXPECT_NE(reopened.find(3, ChipRef{}, "soplex/ref", 6), nullptr);
     }
     std::remove(path.c_str());
     std::remove(trunc.c_str());
@@ -416,7 +416,7 @@ TEST(CrashMatrix, KillMidBatchLosesOnlyTheUnflushedTail)
     RunLedger recovered(copy, "test");
     recovered.open("h");
     EXPECT_EQ(recovered.size(), 4u);
-    EXPECT_EQ(recovered.find(4, "soplex/ref", 1), nullptr)
+    EXPECT_EQ(recovered.find(4, ChipRef{}, "soplex/ref", 1), nullptr)
         << "the unflushed fifth cell must not be visible";
     std::remove(path.c_str());
     std::remove(copy.c_str());

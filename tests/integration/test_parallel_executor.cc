@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,93 @@ TEST(ParallelExecutor, ParallelJournalResumesSequentially)
     EXPECT_EQ(resumed.telemetry.journalReplays, 8u)
         << "every cell must come from the journal";
     EXPECT_EQ(serializeReport(resumed), serializeReport(fresh));
+    std::remove(path.c_str());
+}
+
+/** Header frame of a ledger file: u32 version + length-prefixed
+ *  header string, little-endian. */
+void
+appendHeaderFrame(std::string &bytes, uint32_t version,
+                  const std::string &header)
+{
+    std::string payload;
+    for (int shift = 0; shift < 32; shift += 8)
+        payload.push_back(
+            static_cast<char>((version >> shift) & 0xffu));
+    const uint32_t len = static_cast<uint32_t>(header.size());
+    for (int shift = 0; shift < 32; shift += 8)
+        payload.push_back(static_cast<char>((len >> shift) & 0xffu));
+    payload += header;
+    appendFrame(bytes, payload);
+}
+
+TEST(ParallelExecutor, LegacyJournalResumesOnThePlatformChip)
+{
+    // A version-1 journal predates the chip dimension: its commits
+    // carry no chip, so the single-chip executor must map them onto
+    // its own platform's chip — here a non-default one, TFF#2.
+    const std::string source = "/tmp/vmargin_par_legacy_source";
+    const std::string path = "/tmp/vmargin_par_legacy_v1";
+    std::remove(source.c_str());
+    std::remove(path.c_str());
+
+    const auto characterizeTff = [](const std::string &journal) {
+        sim::Platform platform(sim::XGene2Params{},
+                               sim::ChipCorner::TFF, 2);
+        platform.installFaultPlan(hostilePlan());
+        CharacterizationFramework framework(&platform);
+        FrameworkConfig config = sweepConfig();
+        config.workers = 4;
+        config.journalPath = journal;
+        return framework.characterize(config);
+    };
+    const auto reference = characterizeTff(source);
+    ASSERT_TRUE(reference.complete);
+
+    sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TFF,
+                           2);
+    platform.installFaultPlan(hostilePlan());
+    const std::string header = journalHeaderFor(sweepConfig(), platform);
+
+    // Re-frame three of the measured cells exactly as a version-1
+    // build wrote them: version-1 header, run frames, chipless
+    // commits.
+    CampaignJournal measured(source);
+    measured.open(header, chipRefOf(platform));
+    ASSERT_EQ(measured.size(), 8u);
+    std::string bytes(kLedgerMagic, 4);
+    appendHeaderFrame(bytes, 1, header);
+    const size_t written = 3;
+    for (const auto &[workload, core] :
+         {std::pair<std::string, CoreId>{"bwaves/ref", 6},
+          {"leslie3d/ref", 0},
+          {"leslie3d/ref", 4}}) {
+        const CellMeasurement *cell =
+            measured.find(chipRefOf(platform), workload, core);
+        ASSERT_NE(cell, nullptr) << workload << " core " << core;
+        for (const auto &run : cell->runs)
+            appendFrame(bytes, encodeRunRecord(run));
+        CellCommit commit;
+        commit.workloadId = cell->workloadId;
+        commit.core = cell->core;
+        commit.runCount = static_cast<uint32_t>(cell->runs.size());
+        commit.watchdogInterventions = cell->watchdogInterventions;
+        commit.telemetry = cell->telemetry;
+        std::string payload;
+        encodeCellCommitInto(payload, commit, 1);
+        appendFrame(bytes, payload);
+    }
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << bytes;
+    }
+
+    const auto resumed = characterizeTff(path);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.telemetry.journalReplays, written)
+        << "every legacy cell must replay onto the platform chip";
+    EXPECT_EQ(serializeReport(resumed), serializeReport(reference));
+    std::remove(source.c_str());
     std::remove(path.c_str());
 }
 

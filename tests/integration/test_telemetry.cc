@@ -6,10 +6,12 @@
  *    serialized campaign or fleet report (under fault injection, at
  *    several worker counts);
  *  - the exact-class counter section must come out byte-identical
- *    for workers {1, 2, 8} — the telemetry side of the determinism
- *    contract the executor's report hash asserts;
+ *    for workers {1, 2, 8} — and, for a fleet, for any chip
+ *    enumeration order — the telemetry side of the determinism
+ *    contract the report hashes assert;
  *  - the JSONL artifact itself must exist, grow one line per flush,
- *    and carry the metric keys CI gates on.
+ *    and carry the metric keys CI and the benchmark harness read,
+ *    from both the single-chip and the fleet entry point.
  */
 
 #include <gtest/gtest.h>
@@ -77,6 +79,30 @@ sweep(int workers, const std::string &telemetry_path,
     return serializeReport(report);
 }
 
+/** One faulted fleet sweep over @p chip_specs (any order); returns
+ *  the serialized fleet report and, via @p counters_out, the
+ *  exact-counter JSON it accumulated. */
+std::string
+fleetSweep(const std::vector<std::string> &chip_specs, int workers,
+           const std::string &telemetry_path,
+           std::string *counters_out = nullptr)
+{
+    obs::Registry::global().reset();
+    sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TTT,
+                           1);
+    platform.installFaultPlan(hostilePlan());
+    FleetConfig config;
+    config.chips = parseFleetSpec(chip_specs);
+    config.framework = sweepConfig();
+    config.framework.workers = workers;
+    config.framework.telemetryPath = telemetry_path;
+    FleetExecutor executor(&platform);
+    const std::string bytes = executor.run(config).serialize();
+    if (counters_out)
+        *counters_out = obs::Registry::global().countersJson();
+    return bytes;
+}
+
 std::vector<std::string>
 linesOf(const std::string &path)
 {
@@ -120,6 +146,22 @@ TEST(Telemetry, ExactCountersIdenticalAcrossWorkerCounts)
         << one;
 }
 
+/** True when the JSONL line books counter @p key. */
+bool
+hasCounter(const std::string &line, const std::string &key)
+{
+    return line.find("\"" + key + "\":") != std::string::npos &&
+           line.find("\"" + key + "\":{") == std::string::npos;
+}
+
+/** True when the JSONL line books span @p key. */
+bool
+hasSpan(const std::string &line, const std::string &key)
+{
+    return line.find("\"" + key + "\":{\"count\":") !=
+           std::string::npos;
+}
+
 TEST(Telemetry, JsonlArtifactCarriesTheGatedKeys)
 {
     const std::string path = "/tmp/vmargin_telemetry_keys.jsonl";
@@ -135,9 +177,41 @@ TEST(Telemetry, JsonlArtifactCarriesTheGatedKeys)
               std::string::npos);
     EXPECT_NE(last.find("\"executor.cells_fresh\":8"),
               std::string::npos);
-    EXPECT_NE(last.find("executor.plan"), std::string::npos);
+    // The keys CI's telemetry gate reads from a single-chip sweep.
+    for (const char *key : {"executor.cells_planned",
+                            "executor.cache_hits"})
+        EXPECT_TRUE(hasCounter(last, key)) << key << " in " << last;
+    for (const char *key :
+         {"executor.plan", "executor.execute", "executor.merge"})
+        EXPECT_TRUE(hasSpan(last, key)) << key << " in " << last;
     EXPECT_NE(last.find("threadpool.tasks"), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(Telemetry, FleetExactCountersIdenticalAcrossWorkersAndChipOrder)
+{
+    const std::vector<std::string> chips = {"TTT", "TFF:2", "TSS:3"};
+    const std::vector<std::string> shuffled = {"TSS:3", "TTT",
+                                               "TFF:2"};
+    std::string one, two, eight, reordered;
+    const std::string report_one = fleetSweep(chips, 1, "", &one);
+    const std::string report_two = fleetSweep(chips, 2, "", &two);
+    const std::string report_eight = fleetSweep(chips, 8, "", &eight);
+    const std::string report_reordered =
+        fleetSweep(shuffled, 4, "", &reordered);
+    // Guard: the runs themselves must agree before the counters can.
+    ASSERT_EQ(report_two, report_one);
+    ASSERT_EQ(report_eight, report_one);
+    ASSERT_EQ(report_reordered, report_one);
+    EXPECT_EQ(two, one)
+        << "fleet exact counters must not depend on the worker count";
+    EXPECT_EQ(eight, one)
+        << "fleet exact counters must not depend on the worker count";
+    EXPECT_EQ(reordered, one)
+        << "fleet exact counters must not depend on the chip order";
+    EXPECT_NE(one.find("\"fleet.cells_measured\":24"),
+              std::string::npos)
+        << one;
 }
 
 TEST(Telemetry, FleetReportUnmovedBySink)
@@ -145,27 +219,23 @@ TEST(Telemetry, FleetReportUnmovedBySink)
     const std::string path = "/tmp/vmargin_telemetry_fleet.jsonl";
     std::remove(path.c_str());
 
-    const auto fleetSweep = [&](const std::string &telemetry) {
-        obs::Registry::global().reset();
-        sim::Platform platform(sim::XGene2Params{},
-                               sim::ChipCorner::TTT, 1);
-        FleetConfig config;
-        config.chips = parseFleetSpec({"TTT", "TFF:2"});
-        config.framework = sweepConfig();
-        config.framework.workers = 4;
-        config.framework.telemetryPath = telemetry;
-        FleetExecutor executor(&platform);
-        return executor.run(config).serialize();
-    };
-
-    const std::string off = fleetSweep("");
-    const std::string on = fleetSweep(path);
+    const std::string off = fleetSweep({"TTT", "TFF:2"}, 4, "");
+    const std::string on = fleetSweep({"TTT", "TFF:2"}, 4, path);
     EXPECT_EQ(on, off);
     const auto lines = linesOf(path);
-    ASSERT_FALSE(lines.empty());
-    EXPECT_NE(lines.back().find("\"fleet.cells_measured\":16"),
+    ASSERT_GE(lines.size(), 2u)
+        << "expected at least one phase flush plus the final drain";
+    const std::string &last = lines.back();
+    EXPECT_NE(last.find("\"fleet.cells_measured\":16"),
               std::string::npos)
-        << lines.back();
+        << last;
+    // The keys CI's fleet telemetry gate and the benchmark harness
+    // read from a fleet sweep.
+    for (const char *key : {"fleet.chips", "fleet.cells_planned",
+                            "fleet.cells_measured"})
+        EXPECT_TRUE(hasCounter(last, key)) << key << " in " << last;
+    for (const char *key : {"fleet.merge_barrier", "fleet.chip_merge"})
+        EXPECT_TRUE(hasSpan(last, key)) << key << " in " << last;
     std::remove(path.c_str());
 }
 
