@@ -1,9 +1,12 @@
 #include "classifier.hh"
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <iterator>
 #include <map>
 
+#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -245,63 +248,214 @@ parseCampaignLog(const std::vector<std::string> &lines)
     return runs;
 }
 
-std::string
-encodeSiteCounts(const std::map<std::string, uint64_t> &sites)
+namespace
 {
-    std::vector<std::string> parts;
-    for (const auto &[site, count] : sites)
-        parts.push_back(site + ":" + std::to_string(count));
-    return util::join(parts, ";");
-}
 
-std::map<std::string, uint64_t>
-decodeSiteCounts(const std::string &text)
+/** The report CSV columns, in the order the writer emits them. */
+enum Column : size_t
 {
-    std::map<std::string, uint64_t> sites;
-    if (text.empty())
-        return sites;
-    for (const auto &token : util::split(text, ';')) {
-        const auto colon = token.find(':');
-        if (colon == std::string::npos)
-            panicf("decodeSiteCounts: malformed entry '", token,
-                   "'");
-        const std::string count = token.substr(colon + 1);
-        if (!util::isInteger(count))
-            panicf("decodeSiteCounts: bad count in '", token, "'");
-        sites[token.substr(0, colon)] += static_cast<uint64_t>(
-            std::strtoll(count.c_str(), nullptr, 10));
+    kWorkload,
+    kCore,
+    kVoltage,
+    kFreq,
+    kCampaign,
+    kRun,
+    kEffects,
+    kSdcEvents,
+    kCe,
+    kUe,
+    kExitCode,
+    kSeconds,
+    kIpc,
+    kActivity,
+    kCeSites,
+    kUeSites,
+    kNumColumns
+};
+
+constexpr std::string_view kColumnNames[kNumColumns] = {
+    "workload", "core",     "voltage_mv", "freq_mhz",
+    "campaign", "run",      "effects",    "sdc_events",
+    "ce",       "ue",       "exit_code",  "seconds",
+    "ipc",      "activity", "ce_sites",   "ue_sites"};
+
+/** Room for one row whose workload id and site lists are short;
+ *  longer rows only cost the string's geometric growth. */
+constexpr size_t kRowBytesHint = 96;
+
+void
+appendSiteCounts(std::string &out,
+                 const std::map<std::string, uint64_t> &sites)
+{
+    const size_t begin = out.size();
+    for (const auto &[site, count] : sites) {
+        if (out.size() != begin)
+            out += ';';
+        out += site;
+        out += ':';
+        util::appendInteger(out, count);
     }
-    return sites;
+    util::CsvWriter::escapeInPlace(out, begin);
 }
 
-std::vector<std::string>
-classifiedRunCsvHeader()
+void
+appendRow(std::string &out, const ClassifiedRun &run)
 {
-    return {"workload", "core",     "voltage_mv", "freq_mhz",
-            "campaign", "run",      "effects",    "sdc_events",
-            "ce",       "ue",       "exit_code",  "seconds",
-            "ipc",      "activity", "ce_sites",   "ue_sites"};
+    const auto integer = [&out](auto value) {
+        out += ',';
+        util::appendInteger(out, value);
+    };
+    const auto fixed = [&out](double value, int precision) {
+        out += ',';
+        util::appendDouble(out, value, precision);
+    };
+    out += run.key.workloadId;
+    util::CsvWriter::escapeInPlace(out, out.size() -
+                                            run.key.workloadId.size());
+    integer(run.key.core);
+    integer(run.key.voltage);
+    integer(run.key.frequency);
+    integer(run.key.campaign);
+    integer(run.key.runIndex);
+    out += ',';
+    const size_t effects = out.size();
+    run.effects.appendTo(out);
+    util::CsvWriter::escapeInPlace(out, effects);
+    integer(run.sdcEvents);
+    integer(run.correctedErrors);
+    integer(run.uncorrectedErrors);
+    integer(run.exitCode);
+    fixed(run.seconds, 6);
+    fixed(run.avgIpc, 4);
+    fixed(run.activityFactor, 4);
+    out += ',';
+    appendSiteCounts(out, run.correctedBySite);
+    out += ',';
+    appendSiteCounts(out, run.uncorrectedBySite);
+    out += '\n';
 }
 
-std::vector<std::string>
-classifiedRunCsvRow(const ClassifiedRun &run)
+/** One report CSV row being decoded: its fields in header order and
+ *  where they sit, for messages. */
+struct RowReader
 {
-    return {run.key.workloadId,
-            std::to_string(run.key.core),
-            std::to_string(run.key.voltage),
-            std::to_string(run.key.frequency),
-            std::to_string(run.key.campaign),
-            std::to_string(run.key.runIndex),
-            run.effects.toString(),
-            std::to_string(run.sdcEvents),
-            std::to_string(run.correctedErrors),
-            std::to_string(run.uncorrectedErrors),
-            std::to_string(run.exitCode),
-            util::formatDouble(run.seconds, 6),
-            util::formatDouble(run.avgIpc, 4),
-            util::formatDouble(run.activityFactor, 4),
-            encodeSiteCounts(run.correctedBySite),
-            encodeSiteCounts(run.uncorrectedBySite)};
+    const std::vector<std::string_view> &fields;
+    const std::array<size_t, kNumColumns> &index;
+    size_t line;
+
+    std::string_view field(Column column) const
+    {
+        return fields[index[column]];
+    }
+
+    template <typename T>
+    void number(Column column, T &out) const
+    {
+        const std::string_view value = field(column);
+        if (!util::parseWhole(value, out))
+            panicf("report CSV: line ", line, ": column '",
+                   kColumnNames[column], "' has bad value '", value,
+                   "'");
+    }
+
+    std::map<std::string, uint64_t> siteCounts(Column column) const
+    {
+        std::map<std::string, uint64_t> sites;
+        std::string_view text = field(column);
+        if (text.empty())
+            return sites;
+        while (true) {
+            const size_t semicolon = text.find(';');
+            const std::string_view entry = text.substr(0, semicolon);
+            const size_t colon = entry.find(':');
+            if (colon == std::string_view::npos)
+                panicf("report CSV: line ", line, ": column '",
+                       kColumnNames[column], "' has malformed entry '",
+                       entry, "'");
+            uint64_t count = 0;
+            if (!util::parseWhole(entry.substr(colon + 1), count))
+                panicf("report CSV: line ", line, ": column '",
+                       kColumnNames[column], "' has bad count in '",
+                       entry, "'");
+            // Rows list sites in map order, so the hint is exact.
+            sites.try_emplace(sites.end(),
+                              std::string(entry.substr(0, colon)))
+                ->second += count;
+            if (semicolon == std::string_view::npos)
+                return sites;
+            text.remove_prefix(semicolon + 1);
+        }
+    }
+
+    ClassifiedRun run() const
+    {
+        ClassifiedRun run;
+        run.key.workloadId = field(kWorkload);
+        number(kCore, run.key.core);
+        number(kVoltage, run.key.voltage);
+        number(kFreq, run.key.frequency);
+        number(kCampaign, run.key.campaign);
+        number(kRun, run.key.runIndex);
+        run.effects = EffectSet::fromString(field(kEffects));
+        number(kSdcEvents, run.sdcEvents);
+        number(kCe, run.correctedErrors);
+        number(kUe, run.uncorrectedErrors);
+        number(kExitCode, run.exitCode);
+        number(kSeconds, run.seconds);
+        number(kIpc, run.avgIpc);
+        number(kActivity, run.activityFactor);
+        run.correctedBySite = siteCounts(kCeSites);
+        run.uncorrectedBySite = siteCounts(kUeSites);
+        return run;
+    }
+};
+
+} // namespace
+
+void
+appendClassifiedRunCsv(std::string &out,
+                       const std::vector<ClassifiedRun> &runs)
+{
+    out.reserve(out.size() + 128 + runs.size() * kRowBytesHint);
+    for (size_t c = 0; c < kNumColumns; ++c) {
+        out += kColumnNames[c];
+        out += c + 1 < kNumColumns ? ',' : '\n';
+    }
+    for (const auto &run : runs)
+        appendRow(out, run);
+}
+
+std::vector<ClassifiedRun>
+parseClassifiedRunCsv(std::string_view text, size_t first_line)
+{
+    util::CsvScanner scanner(text, ',', first_line);
+    std::vector<std::string_view> fields;
+    scanner.next(fields);
+    const std::vector<std::string> header(fields.begin(), fields.end());
+    std::array<size_t, kNumColumns> index{};
+    for (size_t c = 0; c < kNumColumns; ++c) {
+        const auto it =
+            std::find(header.begin(), header.end(), kColumnNames[c]);
+        if (it == header.end())
+            panicf("report CSV: line ", first_line,
+                   ": missing column '", kColumnNames[c], "'");
+        index[c] = static_cast<size_t>(it - header.begin());
+    }
+
+    std::vector<ClassifiedRun> runs;
+    while (scanner.next(fields)) {
+        const size_t line = scanner.line();
+        if (fields.size() < header.size())
+            panicf("report CSV: line ", line,
+                   ": row ends before column '", header[fields.size()],
+                   "' (", fields.size(), " of ", header.size(),
+                   " fields)");
+        if (fields.size() > header.size())
+            panicf("report CSV: line ", line, ": ", fields.size(),
+                   " fields, but the header has ", header.size());
+        runs.push_back(RowReader{fields, index, line}.run());
+    }
+    return runs;
 }
 
 } // namespace vmargin

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "effects.hh"
@@ -110,17 +111,37 @@ ClassifiedRun classifyRunRecord(const RunKey &key,
 std::vector<std::string>
 formatCampaignLog(const std::vector<RunLogRecord> &records);
 
-/** Encode a site-count map as "L2Cache:9;L3Cache:2" (empty -> ""). */
-std::string encodeSiteCounts(const std::map<std::string, uint64_t> &sites);
+/**
+ * The report CSV row codec — the framework's final CSV, one row per
+ * classified run. Its write half and read half sit side by side so
+ * the byte format is known in one place:
+ *
+ *     workload,core,voltage_mv,freq_mhz,campaign,run,effects,
+ *     sdc_events,ce,ue,exit_code,seconds,ipc,activity,ce_sites,
+ *     ue_sites
+ *
+ * `effects` is EffectSet::toString(); `seconds` has 6 fraction
+ * digits, `ipc` and `activity` 4; the site columns encode a
+ * site-count map as "L2Cache:9;L3Cache:2" (empty map: empty field).
+ * Fields are quoted by CsvWriter's RFC 4180 rule.
+ */
 
-/** Parse the encodeSiteCounts format; panics on malformed input. */
-std::map<std::string, uint64_t> decodeSiteCounts(const std::string &text);
+/** Append the header line and one row per run of @p runs to
+ *  @p out. */
+void appendClassifiedRunCsv(std::string &out,
+                            const std::vector<ClassifiedRun> &runs);
 
-/** CSV header for classified-run rows (the framework's final CSV). */
-std::vector<std::string> classifiedRunCsvHeader();
-
-/** CSV row for one classified run. */
-std::vector<std::string> classifiedRunCsvRow(const ClassifiedRun &run);
+/**
+ * Parse appendClassifiedRunCsv() output back into runs. The header
+ * line maps the columns, so they may come in any order and unknown
+ * ones are ignored. @p first_line is the header's line number in
+ * the enclosing document. Panics, naming the line and the column,
+ * on a missing column, a row with more or fewer fields than the
+ * header, or a field that does not parse in full (every number must
+ * read back exactly as the writer wrote it).
+ */
+std::vector<ClassifiedRun>
+parseClassifiedRunCsv(std::string_view text, size_t first_line = 1);
 
 } // namespace vmargin
 

@@ -6,25 +6,23 @@
 namespace vmargin
 {
 
+namespace
+{
+
+/** Short name of each effect, indexed by its enum value. */
+constexpr std::string_view kEffectNames[] = {"NO", "SDC", "CE",
+                                             "UE", "AC",  "SC"};
+
+} // namespace
+
 std::string
 effectName(Effect effect)
 {
-    switch (effect) {
-      case Effect::NO:
-        return "NO";
-      case Effect::SDC:
-        return "SDC";
-      case Effect::CE:
-        return "CE";
-      case Effect::UE:
-        return "UE";
-      case Effect::AC:
-        return "AC";
-      case Effect::SC:
-        return "SC";
-    }
-    util::panicf("effectName: invalid effect ",
-                 static_cast<int>(effect));
+    const auto index = static_cast<size_t>(effect);
+    if (index >= std::size(kEffectNames))
+        util::panicf("effectName: invalid effect ",
+                     static_cast<int>(effect));
+    return std::string(kEffectNames[index]);
 }
 
 std::string
@@ -57,10 +55,10 @@ effectDescription(Effect effect)
 }
 
 Effect
-effectFromName(const std::string &name)
+effectFromName(std::string_view name)
 {
     for (Effect e : kAllEffects)
-        if (effectName(e) == name)
+        if (kEffectNames[static_cast<size_t>(e)] == name)
             return e;
     util::panicf("effectFromName: unknown effect '", name, "'");
 }
@@ -105,25 +103,43 @@ EffectSet::count() const
 std::string
 EffectSet::toString() const
 {
-    if (normal())
-        return "NO";
-    std::vector<std::string> names;
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+EffectSet::appendTo(std::string &out) const
+{
+    if (normal()) {
+        out += kEffectNames[static_cast<size_t>(Effect::NO)];
+        return;
+    }
+    bool first = true;
     for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
-                     Effect::SC})
-        if (has(e))
-            names.push_back(effectName(e));
-    return util::join(names, ",");
+                     Effect::SC}) {
+        if (!has(e))
+            continue;
+        if (!first)
+            out += ',';
+        out += kEffectNames[static_cast<size_t>(e)];
+        first = false;
+    }
 }
 
 EffectSet
-EffectSet::fromString(const std::string &text)
+EffectSet::fromString(std::string_view text)
 {
     EffectSet set;
     if (text.empty() || text == "NO")
         return set;
-    for (const auto &token : util::split(text, ','))
-        set.add(effectFromName(util::trim(token)));
-    return set;
+    while (true) {
+        const size_t comma = text.find(',');
+        set.add(effectFromName(util::trimView(text.substr(0, comma))));
+        if (comma == std::string_view::npos)
+            return set;
+        text.remove_prefix(comma + 1);
+    }
 }
 
 EffectSet

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/core.hh"
@@ -45,7 +46,7 @@ std::string effectName(Effect effect);
 std::string effectDescription(Effect effect);
 
 /** Parse a short effect name; panics on an unknown one. */
-Effect effectFromName(const std::string &name);
+Effect effectFromName(std::string_view name);
 
 /** The set of effects one run manifested. */
 class EffectSet
@@ -69,8 +70,12 @@ class EffectSet
     /** Comma-separated names, or "NO" when empty. */
     std::string toString() const;
 
-    /** Parse the toString() format back. */
-    static EffectSet fromString(const std::string &text);
+    /** Append toString() to @p out. */
+    void appendTo(std::string &out) const;
+
+    /** Parse the toString() format back; whitespace around a name is
+     *  ignored, an unknown name panics. */
+    static EffectSet fromString(std::string_view text);
 
     bool operator==(const EffectSet &other) const = default;
 

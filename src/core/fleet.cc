@@ -219,34 +219,54 @@ FleetReport::comparisonCsv() const
 std::string
 FleetReport::serialize() const
 {
-    std::ostringstream os;
-    os << "# vmargin-fleet chips=" << chips.size() << " corners=";
-    for (size_t i = 0; i < chips.size(); ++i)
-        os << (i ? "," : "") << chips[i].chip.name();
-    os << " freq=" << frequency << " nominal_mv=" << nominalMv
-       << '\n';
+    std::string out = "# vmargin-fleet chips=";
+    util::appendInteger(out, chips.size());
+    out += " corners=";
+    for (size_t i = 0; i < chips.size(); ++i) {
+        if (i)
+            out += ',';
+        out += chips[i].chip.name();
+    }
+    out += " freq=";
+    util::appendInteger(out, frequency);
+    out += " nominal_mv=";
+    util::appendInteger(out, nominalMv);
+    out += '\n';
 
     for (const auto &entry : chips) {
-        os << "== chip " << entry.chip.name() << " ==\n";
-        os << serializeReport(entry.report);
+        out += "== chip ";
+        out += entry.chip.name();
+        out += " ==\n";
+        appendSerializedReport(out, entry.report);
     }
 
-    os << "== corner summary ==\n"
-       << "corner,chips,cells,best_vmin_mv,worst_vmin_mv,"
-          "mean_vmin_mv,guardband_mv,savings_pct\n";
+    out += "== corner summary ==\n"
+           "corner,chips,cells,best_vmin_mv,worst_vmin_mv,"
+           "mean_vmin_mv,guardband_mv,savings_pct\n";
+    const auto integer = [&out](auto value) {
+        out += ',';
+        util::appendInteger(out, value);
+    };
     for (const auto &summary : cornerSummaries()) {
-        os << sim::cornerName(summary.corner) << ','
-           << summary.chips << ',' << summary.cells << ','
-           << summary.bestVmin << ',' << summary.worstVmin << ','
-           << util::formatDouble(summary.meanVmin, 1) << ','
-           << summary.guardbandMv << ','
-           << util::formatDouble(summary.savingsPercent, 2) << '\n';
+        out += sim::cornerName(summary.corner);
+        integer(summary.chips);
+        integer(summary.cells);
+        integer(summary.bestVmin);
+        integer(summary.worstVmin);
+        out += ',';
+        util::appendDouble(out, summary.meanVmin, 1);
+        integer(summary.guardbandMv);
+        out += ',';
+        util::appendDouble(out, summary.savingsPercent, 2);
+        out += '\n';
     }
 
-    os << "== comparison ==\n" << comparisonCsv();
-    os << "fleet_savings_pct="
-       << util::formatDouble(fleetSavingsPercent(), 2) << '\n';
-    return os.str();
+    out += "== comparison ==\n";
+    out += comparisonCsv();
+    out += "fleet_savings_pct=";
+    util::appendDouble(out, fleetSavingsPercent(), 2);
+    out += '\n';
+    return out;
 }
 
 std::string

@@ -166,12 +166,9 @@ CharacterizationReport::averageVmin(
 std::string
 CharacterizationReport::toCsv() const
 {
-    std::ostringstream os;
-    util::CsvWriter writer(os);
-    writer.writeHeader(classifiedRunCsvHeader());
-    for (const auto &run : allRuns)
-        writer.writeRow(classifiedRunCsvRow(run));
-    return os.str();
+    std::string out;
+    appendClassifiedRunCsv(out, allRuns);
+    return out;
 }
 
 std::string

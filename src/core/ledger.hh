@@ -142,9 +142,9 @@ struct CellResult
  * (workload, core, voltage, frequency, campaign, run) coordinates,
  * the `EffectSet`, and the per-run telemetry (error counts, exit
  * code, timing, per-site EDAC detail) — so it *is* the run record;
- * the alias fixes the canonical name. The CSV emitter
- * (`classifiedRunCsvRow`) and the binary codec below are the two
- * encoders over this one schema.
+ * the alias fixes the canonical name. The report CSV row codec
+ * (`appendClassifiedRunCsv` / `parseClassifiedRunCsv`) and the
+ * binary codec below are the two codecs over this one schema.
  */
 using RunRecord = ClassifiedRun;
 

@@ -1,10 +1,9 @@
 #include "resultstore.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
-#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -23,21 +22,85 @@ constexpr const char *kMagic = "# vmargin-report";
 std::string
 serializeReport(const CharacterizationReport &report)
 {
-    std::ostringstream os;
-    os << kMagic << " chip=" << report.chipName
-       << " corner=" << sim::cornerName(report.corner)
-       << " freq=" << report.frequency
-       << " watchdog=" << report.watchdogInterventions
-       << " retries=" << report.telemetry.retries
-       << " backoff_events=" << report.telemetry.backoffEvents
-       << " backoff_us=" << report.telemetry.backoffUsTotal
-       << " watchdog_retries=" << report.telemetry.watchdogRetries
-       << " lost=" << report.telemetry.lostMeasurements
-       << " fallback_rounds=" << report.telemetry.fallbackRounds
-       << '\n';
-    os << report.toCsv();
-    return os.str();
+    std::string out;
+    appendSerializedReport(out, report);
+    return out;
 }
+
+void
+appendSerializedReport(std::string &out,
+                       const CharacterizationReport &report)
+{
+    out += kMagic;
+    out += " chip=";
+    out += report.chipName;
+    out += " corner=";
+    out += sim::cornerName(report.corner);
+    const auto key = [&out](const char *name, auto value) {
+        out += ' ';
+        out += name;
+        out += '=';
+        util::appendInteger(out, value);
+    };
+    key("freq", report.frequency);
+    key("watchdog", report.watchdogInterventions);
+    key("retries", report.telemetry.retries);
+    key("backoff_events", report.telemetry.backoffEvents);
+    key("backoff_us", report.telemetry.backoffUsTotal);
+    key("watchdog_retries", report.telemetry.watchdogRetries);
+    key("lost", report.telemetry.lostMeasurements);
+    key("fallback_rounds", report.telemetry.fallbackRounds);
+    out += '\n';
+    appendClassifiedRunCsv(out, report.allRuns);
+}
+
+namespace
+{
+
+/** Parse the "# vmargin-report key=value ..." line into @p report. */
+void
+parseMetadata(std::string_view line, CharacterizationReport &report)
+{
+    while (!line.empty()) {
+        const size_t space = line.find(' ');
+        const std::string_view token = line.substr(0, space);
+        line.remove_prefix(space == std::string_view::npos
+                               ? line.size()
+                               : space + 1);
+        const size_t eq = token.find('=');
+        if (eq == std::string_view::npos)
+            continue;
+        const std::string_view key = token.substr(0, eq);
+        const std::string_view value = token.substr(eq + 1);
+        const auto number = [&](auto &out) {
+            if (!util::parseWhole(value, out))
+                panicf("deserializeReport: line 1: key '", key,
+                       "' has bad value '", value, "'");
+        };
+        if (key == "chip")
+            report.chipName = value;
+        else if (key == "corner")
+            report.corner = sim::cornerFromName(std::string(value));
+        else if (key == "freq")
+            number(report.frequency);
+        else if (key == "watchdog")
+            number(report.watchdogInterventions);
+        else if (key == "retries")
+            number(report.telemetry.retries);
+        else if (key == "backoff_events")
+            number(report.telemetry.backoffEvents);
+        else if (key == "backoff_us")
+            number(report.telemetry.backoffUsTotal);
+        else if (key == "watchdog_retries")
+            number(report.telemetry.watchdogRetries);
+        else if (key == "lost")
+            number(report.telemetry.lostMeasurements);
+        else if (key == "fallback_rounds")
+            number(report.telemetry.fallbackRounds);
+    }
+}
+
+} // namespace
 
 CharacterizationReport
 deserializeReport(const std::string &text,
@@ -48,116 +111,19 @@ deserializeReport(const std::string &text,
         !util::startsWith(text, kMagic))
         panicf("deserializeReport: missing metadata header");
 
+    const std::string_view document = text;
     CharacterizationReport report;
-    // Parse the metadata header.
-    for (const auto &token :
-         util::split(text.substr(0, newline), ' ')) {
-        const auto eq = token.find('=');
-        if (eq == std::string::npos)
-            continue;
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "chip") {
-            report.chipName = value;
-        } else if (key == "corner") {
-            report.corner = sim::cornerFromName(value);
-        } else if (key == "freq") {
-            report.frequency = static_cast<MegaHertz>(
-                std::strtol(value.c_str(), nullptr, 10));
-        } else if (key == "watchdog") {
-            report.watchdogInterventions = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "retries") {
-            report.telemetry.retries = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "backoff_events") {
-            report.telemetry.backoffEvents = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "backoff_us") {
-            report.telemetry.backoffUsTotal = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "watchdog_retries") {
-            report.telemetry.watchdogRetries = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "lost") {
-            report.telemetry.lostMeasurements =
-                static_cast<uint64_t>(
-                    std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "fallback_rounds") {
-            report.telemetry.fallbackRounds = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        }
-    }
-
-    // Parse the run rows.
-    const util::CsvDocument doc =
-        util::parseCsv(text.substr(newline + 1));
-    const auto column = [&](const char *name) {
-        const int index = doc.columnIndex(name);
-        if (index < 0)
-            panicf("deserializeReport: missing column '", name,
-                   "'");
-        return static_cast<size_t>(index);
-    };
-    const size_t col_workload = column("workload");
-    const size_t col_core = column("core");
-    const size_t col_voltage = column("voltage_mv");
-    const size_t col_freq = column("freq_mhz");
-    const size_t col_campaign = column("campaign");
-    const size_t col_run = column("run");
-    const size_t col_effects = column("effects");
-    const size_t col_sdc = column("sdc_events");
-    const size_t col_ce = column("ce");
-    const size_t col_ue = column("ue");
-    const size_t col_exit = column("exit_code");
-    const size_t col_seconds = column("seconds");
-    const size_t col_ipc = column("ipc");
-    const size_t col_activity = column("activity");
-    const size_t col_ce_sites = column("ce_sites");
-    const size_t col_ue_sites = column("ue_sites");
-
-    // One pass: every row lands in allRuns and streams into the
-    // LedgerView, which derives all per-cell analyses (regions,
-    // severity, Vmin) without re-walking the rows per cell.
-    LedgerView view(weights);
-    report.allRuns.reserve(doc.rows.size());
-    for (const auto &row : doc.rows) {
-        ClassifiedRun run;
-        run.key.workloadId = row.at(col_workload);
-        run.key.core = static_cast<CoreId>(
-            std::strtol(row.at(col_core).c_str(), nullptr, 10));
-        run.key.voltage = static_cast<MilliVolt>(
-            std::strtol(row.at(col_voltage).c_str(), nullptr, 10));
-        run.key.frequency = static_cast<MegaHertz>(
-            std::strtol(row.at(col_freq).c_str(), nullptr, 10));
-        run.key.campaign = static_cast<uint32_t>(std::strtol(
-            row.at(col_campaign).c_str(), nullptr, 10));
-        run.key.runIndex = static_cast<uint32_t>(
-            std::strtol(row.at(col_run).c_str(), nullptr, 10));
-        run.effects = EffectSet::fromString(row.at(col_effects));
-        run.sdcEvents = static_cast<uint64_t>(
-            std::strtoll(row.at(col_sdc).c_str(), nullptr, 10));
-        run.correctedErrors = static_cast<uint64_t>(
-            std::strtoll(row.at(col_ce).c_str(), nullptr, 10));
-        run.uncorrectedErrors = static_cast<uint64_t>(
-            std::strtoll(row.at(col_ue).c_str(), nullptr, 10));
-        run.exitCode = static_cast<int>(
-            std::strtol(row.at(col_exit).c_str(), nullptr, 10));
-        run.seconds =
-            std::strtod(row.at(col_seconds).c_str(), nullptr);
-        run.avgIpc = std::strtod(row.at(col_ipc).c_str(), nullptr);
-        run.activityFactor =
-            std::strtod(row.at(col_activity).c_str(), nullptr);
-        run.correctedBySite =
-            decodeSiteCounts(row.at(col_ce_sites));
-        run.uncorrectedBySite =
-            decodeSiteCounts(row.at(col_ue_sites));
-        view.add(run);
-        report.allRuns.push_back(std::move(run));
-    }
+    parseMetadata(document.substr(0, newline), report);
+    report.allRuns =
+        parseClassifiedRunCsv(document.substr(newline + 1), 2);
     report.totalRuns = report.allRuns.size();
-    // Cells come out in first-seen order — the view preserves the
-    // stream order, which is the report's canonical cell order.
+
+    // One pass: the LedgerView derives every per-cell analysis
+    // (regions, severity, Vmin) without re-walking the rows per
+    // cell. Cells come out in first-seen order — the view preserves
+    // the stream order, which is the report's canonical cell order.
+    LedgerView view(weights);
+    view.addAll(report.allRuns);
     report.cells = std::move(view).cellResults();
     return report;
 }

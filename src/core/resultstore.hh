@@ -30,11 +30,16 @@ namespace vmargin
  */
 std::string serializeReport(const CharacterizationReport &report);
 
+/** serializeReport() appended to @p out. */
+void appendSerializedReport(std::string &out,
+                            const CharacterizationReport &report);
+
 /**
  * Rebuild a report from serializeReport() output. Region analyses
  * and severity tables are recomputed from the run rows with the
  * given weights. Panics on a malformed document (it is produced by
- * this module; corruption means a storage bug).
+ * this module; corruption means a storage bug), naming the line and
+ * the column or metadata key at fault.
  */
 CharacterizationReport
 deserializeReport(const std::string &text,

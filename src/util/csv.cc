@@ -1,34 +1,7 @@
 #include "csv.hh"
 
-#include "logging.hh"
-
 namespace vmargin::util
 {
-
-int
-CsvDocument::columnIndex(const std::string &column) const
-{
-    for (size_t i = 0; i < header.size(); ++i)
-        if (header[i] == column)
-            return static_cast<int>(i);
-    return -1;
-}
-
-const std::string &
-CsvDocument::at(size_t row, const std::string &column) const
-{
-    const int col = columnIndex(column);
-    if (col < 0)
-        panicf("CsvDocument: no column named '", column, "'");
-    if (row >= rows.size())
-        panicf("CsvDocument: row ", row, " out of range (",
-               rows.size(), " rows)");
-    const auto &fields = rows[row];
-    if (static_cast<size_t>(col) >= fields.size())
-        panicf("CsvDocument: row ", row, " has no field for column '",
-               column, "'");
-    return fields[static_cast<size_t>(col)];
-}
 
 CsvWriter::CsvWriter(std::ostream &out, char sep) : out_(out), sep_(sep)
 {
@@ -37,22 +10,26 @@ CsvWriter::CsvWriter(std::ostream &out, char sep) : out_(out), sep_(sep)
 std::string
 CsvWriter::escape(const std::string &field, char sep)
 {
-    const bool needs_quotes =
-        field.find(sep) != std::string::npos ||
-        field.find('"') != std::string::npos ||
-        field.find('\n') != std::string::npos ||
-        field.find('\r') != std::string::npos;
-    if (!needs_quotes)
-        return field;
+    std::string out = field;
+    escapeInPlace(out, 0, sep);
+    return out;
+}
+
+void
+CsvWriter::escapeInPlace(std::string &out, size_t begin, char sep)
+{
+    const char specials[] = {sep, '"', '\n', '\r'};
+    if (out.find_first_of(specials, begin, sizeof(specials)) ==
+        std::string::npos)
+        return;
     std::string quoted = "\"";
-    for (char c : field) {
-        if (c == '"')
-            quoted += "\"\"";
-        else
-            quoted += c;
+    for (size_t i = begin; i < out.size(); ++i) {
+        if (out[i] == '"')
+            quoted += '"';
+        quoted += out[i];
     }
     quoted += '"';
-    return quoted;
+    out.replace(begin, std::string::npos, quoted);
 }
 
 void
@@ -81,92 +58,126 @@ CsvWriter::writeRow(const std::vector<std::string> &fields)
     ++rowsWritten_;
 }
 
-namespace
+CsvScanner::CsvScanner(std::string_view text, char sep,
+                       size_t first_line)
+    : text_(text), sep_(sep), line_(first_line)
 {
+}
 
-/**
- * Incremental CSV scanner shared by parseCsv and parseCsvLine.
- * Consumes @p text and invokes emitField/emitRow through the two
- * output vectors.
- */
-void
-scanCsv(const std::string &text, char sep,
-        std::vector<std::vector<std::string>> &out_rows)
+bool
+CsvScanner::next(std::vector<std::string_view> &fields)
 {
-    std::vector<std::string> row;
-    std::string field;
+    fields.clear();
+    scratchUsed_ = 0;
+    // Carriage returns and newlines before any content make no
+    // record (RFC 4180 blank lines, CRLF included).
+    while (pos_ < text_.size() &&
+           (text_[pos_] == '\n' || text_[pos_] == '\r'))
+        line_ += text_[pos_++] == '\n';
+    if (pos_ >= text_.size())
+        return false;
+    recordLine_ = line_;
+    while (!scanField(fields)) {
+    }
+    return true;
+}
+
+bool
+CsvScanner::endField(size_t at)
+{
+    if (at >= text_.size()) {
+        pos_ = text_.size();
+        return true;
+    }
+    if (text_[at] == sep_) {
+        pos_ = at + 1;
+        return false;
+    }
+    // A newline, or a carriage return followed by one (or by the end).
+    pos_ = at + (text_[at] == '\r' ? 1 : 0);
+    if (pos_ < text_.size()) {
+        ++pos_;
+        ++line_;
+    }
+    return true;
+}
+
+bool
+CsvScanner::scanField(std::vector<std::string_view> &fields)
+{
+    const size_t begin = pos_;
+    const size_t size = text_.size();
+    const auto ends_field = [&](size_t at) {
+        if (at >= size || text_[at] == sep_ || text_[at] == '\n')
+            return true;
+        return text_[at] == '\r' &&
+               (at + 1 >= size || text_[at + 1] == '\n');
+    };
+
+    size_t i = begin;
+    while (i < size && text_[i] != sep_ && text_[i] != '\n' &&
+           text_[i] != '"' && text_[i] != '\r')
+        ++i;
+    if (ends_field(i)) {
+        fields.push_back(text_.substr(begin, i - begin));
+        return endField(i);
+    }
+    if (i == begin && text_[i] == '"') {
+        // A quoted field with no doubled quote inside views the text.
+        const size_t close = text_.find('"', begin + 1);
+        if (close != std::string_view::npos && ends_field(close + 1)) {
+            const std::string_view inner =
+                text_.substr(begin + 1, close - begin - 1);
+            for (char c : inner)
+                line_ += c == '\n';
+            fields.push_back(inner);
+            return endField(close + 1);
+        }
+    }
+    return scanQuotedField(begin, fields);
+}
+
+bool
+CsvScanner::scanQuotedField(size_t begin,
+                            std::vector<std::string_view> &fields)
+{
+    if (scratchUsed_ == scratch_.size())
+        scratch_.emplace_back();
+    std::string &field = scratch_[scratchUsed_++];
+    field.clear();
+
     bool in_quotes = false;
-    bool row_has_content = false;
-
-    auto end_field = [&]() {
-        row.push_back(field);
-        field.clear();
-    };
-    auto end_row = [&]() {
-        end_field();
-        out_rows.push_back(row);
-        row.clear();
-        row_has_content = false;
-    };
-
-    for (size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
+    bool record_ends = true;
+    size_t i = begin;
+    for (; i < text_.size(); ++i) {
+        const char c = text_[i];
         if (in_quotes) {
             if (c == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
+                if (i + 1 < text_.size() && text_[i + 1] == '"') {
                     field += '"';
                     ++i;
                 } else {
                     in_quotes = false;
                 }
             } else {
+                line_ += c == '\n';
                 field += c;
             }
-            row_has_content = true;
         } else if (c == '"') {
             in_quotes = true;
-            row_has_content = true;
-        } else if (c == sep) {
-            end_field();
-            row_has_content = true;
-        } else if (c == '\r') {
-            // swallow; \r\n handled by the \n branch
+        } else if (c == sep_) {
+            record_ends = false;
+            break;
         } else if (c == '\n') {
-            if (row_has_content || !field.empty() || !row.empty())
-                end_row();
-        } else {
+            ++line_;
+            break;
+        } else if (c != '\r') {
             field += c;
-            row_has_content = true;
         }
     }
-    if (row_has_content || !field.empty() || !row.empty())
-        end_row();
-}
-
-} // namespace
-
-CsvDocument
-parseCsv(const std::string &text, char sep)
-{
-    std::vector<std::vector<std::string>> all_rows;
-    scanCsv(text, sep, all_rows);
-
-    CsvDocument doc;
-    if (all_rows.empty())
-        return doc;
-    doc.header = all_rows.front();
-    doc.rows.assign(all_rows.begin() + 1, all_rows.end());
-    return doc;
-}
-
-std::vector<std::string>
-parseCsvLine(const std::string &line, char sep)
-{
-    std::vector<std::vector<std::string>> all_rows;
-    scanCsv(line, sep, all_rows);
-    if (all_rows.empty())
-        return {};
-    return all_rows.front();
+    pos_ = i < text_.size() ? i + 1 : text_.size();
+    fields.push_back(field);
+    return record_ends;
 }
 
 } // namespace vmargin::util

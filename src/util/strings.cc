@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <sstream>
+
+#include "logging.hh"
 
 namespace vmargin::util
 {
@@ -27,6 +28,12 @@ split(const std::string &text, char sep)
 
 std::string
 trim(const std::string &text)
+{
+    return std::string(trimView(text));
+}
+
+std::string_view
+trimView(std::string_view text)
 {
     size_t begin = 0;
     size_t end = text.size();
@@ -100,11 +107,30 @@ isNumber(const std::string &text)
 std::string
 formatDouble(double value, int precision)
 {
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-    os << value;
-    return os.str();
+    std::string out;
+    appendDouble(out, value, precision);
+    return out;
+}
+
+void
+appendDouble(std::string &out, double value, int precision)
+{
+    // Fixed notation of DBL_MAX has 309 integer digits; with a sign
+    // and a point that leaves room for 190 fraction digits.
+    char buffer[512];
+    auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                std::chars_format::fixed, precision);
+    if (result.ec == std::errc()) {
+        out.append(buffer, result.ptr);
+        return;
+    }
+    std::string wide(320 + static_cast<size_t>(std::max(precision, 0)),
+                     '\0');
+    result = std::to_chars(wide.data(), wide.data() + wide.size(),
+                           value, std::chars_format::fixed, precision);
+    if (result.ec != std::errc())
+        panicf("appendDouble: cannot format at precision ", precision);
+    out.append(wide.data(), result.ptr);
 }
 
 std::string

@@ -141,27 +141,60 @@ TEST(Classifier, CsvRowMatchesHeader)
     sim::RunResult run;
     run.completed = true;
     run.outputMatches = false;
+    run.simulatedSeconds = 0.125;
+    run.avgIpc = 1.43;
+    run.activityFactor = 0.61;
     const ClassifiedRun parsed = parseRunLog(formatRunLog(key(), run));
-    const auto header = classifiedRunCsvHeader();
-    const auto row = classifiedRunCsvRow(parsed);
-    EXPECT_EQ(header.size(), row.size());
-    EXPECT_EQ(row[0], "bwaves/ref");
-    EXPECT_EQ(row[6], "SDC");
+    std::string csv;
+    appendClassifiedRunCsv(csv, {parsed});
+    EXPECT_EQ(csv,
+              "workload,core,voltage_mv,freq_mhz,campaign,run,effects,"
+              "sdc_events,ce,ue,exit_code,seconds,ipc,activity,"
+              "ce_sites,ue_sites\n"
+              "bwaves/ref,4,905,2400,2,7,SDC,0,0,0,0,0.125000,1.4300,"
+              "0.6100,,\n");
+    EXPECT_EQ(parseClassifiedRunCsv(csv),
+              std::vector<ClassifiedRun>{parsed});
+}
+
+/** A report CSV of one run whose ce_sites field is @p sites. */
+std::string
+csvWithCeSites(const std::string &sites)
+{
+    return "workload,core,voltage_mv,freq_mhz,campaign,run,effects,"
+           "sdc_events,ce,ue,exit_code,seconds,ipc,activity,ce_sites,"
+           "ue_sites\n"
+           "bwaves/ref,4,905,2400,2,7,CE,0,3,0,0,0.125000,1.4300,"
+           "0.6100," +
+           sites + ",\n";
 }
 
 TEST(Classifier, SiteCountEncodingRoundTrip)
 {
-    const std::map<std::string, uint64_t> sites = {
-        {"L2Cache", 9}, {"L3Cache", 2}, {"DRAM", 1}};
-    EXPECT_EQ(decodeSiteCounts(encodeSiteCounts(sites)), sites);
-    EXPECT_TRUE(decodeSiteCounts("").empty());
-    EXPECT_EQ(encodeSiteCounts({}), "");
+    ClassifiedRun run;
+    run.key = key();
+    run.correctedBySite = {{"L2Cache", 9}, {"L3Cache", 2}, {"DRAM", 1}};
+    std::string csv;
+    appendClassifiedRunCsv(csv, {run});
+    EXPECT_NE(csv.find(",DRAM:1;L2Cache:9;L3Cache:2,\n"),
+              std::string::npos)
+        << csv;
+    EXPECT_EQ(parseClassifiedRunCsv(csv), std::vector<ClassifiedRun>{run});
+    EXPECT_TRUE(parseClassifiedRunCsv(csvWithCeSites(""))
+                    .front()
+                    .correctedBySite.empty());
 }
 
 TEST(Classifier, DeathOnMalformedSiteCounts)
 {
-    EXPECT_DEATH(decodeSiteCounts("L2Cache"), "malformed");
-    EXPECT_DEATH(decodeSiteCounts("L2Cache:x"), "bad count");
+    EXPECT_DEATH(parseClassifiedRunCsv(csvWithCeSites("L2Cache")),
+                 "line 2: column 'ce_sites' has malformed entry");
+    EXPECT_DEATH(parseClassifiedRunCsv(csvWithCeSites("L2Cache:x")),
+                 "line 2: column 'ce_sites' has bad count");
+    EXPECT_DEATH(parseClassifiedRunCsv(csvWithCeSites("L2Cache:1;")),
+                 "malformed entry");
+    EXPECT_DEATH(parseClassifiedRunCsv(csvWithCeSites("L2Cache:-1")),
+                 "bad count");
 }
 
 TEST(Classifier, DeathOnEmptyLog)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for CSV emission and parsing.
+ * Unit tests for CSV emission and scanning.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,20 @@ namespace vmargin::util
 {
 namespace
 {
+
+using Rows = std::vector<std::vector<std::string>>;
+
+/** Every record of @p text, the header first, as owned strings. */
+Rows
+scanAll(const std::string &text, char sep = ',')
+{
+    CsvScanner scanner(text, sep);
+    std::vector<std::string_view> fields;
+    Rows rows;
+    while (scanner.next(fields))
+        rows.emplace_back(fields.begin(), fields.end());
+    return rows;
+}
 
 TEST(CsvWriter, PlainRows)
 {
@@ -52,6 +66,19 @@ TEST(CsvWriter, CustomSeparator)
     CsvWriter writer(os, ';');
     writer.writeRow({"a;x", "b"});
     EXPECT_EQ(os.str(), "\"a;x\";b\n");
+    EXPECT_EQ(scanAll(os.str(), ';')[0],
+              (std::vector<std::string>{"a;x", "b"}));
+}
+
+TEST(CsvWriter, EscapeInPlaceQuotesOnlyTheTail)
+{
+    std::string out = "kept,";
+    out += "say \"hi\"";
+    CsvWriter::escapeInPlace(out, 5);
+    EXPECT_EQ(out, "kept,\"say \"\"hi\"\"\"");
+    out += ",plain";
+    CsvWriter::escapeInPlace(out, out.size() - 5);
+    EXPECT_EQ(out, "kept,\"say \"\"hi\"\"\",plain");
 }
 
 TEST(ParseCsv, RoundTrip)
@@ -64,64 +91,79 @@ TEST(ParseCsv, RoundTrip)
     writer.writeRow({"with \"quote\"", "3"});
     writer.writeRow({"with\nnewline", "4"});
 
-    const CsvDocument doc = parseCsv(os.str());
-    ASSERT_EQ(doc.header.size(), 2u);
-    ASSERT_EQ(doc.rows.size(), 4u);
-    EXPECT_EQ(doc.at(0, "name"), "plain");
-    EXPECT_EQ(doc.at(1, "name"), "with,comma");
-    EXPECT_EQ(doc.at(2, "name"), "with \"quote\"");
-    EXPECT_EQ(doc.at(3, "name"), "with\nnewline");
-    EXPECT_EQ(doc.at(3, "value"), "4");
+    const Rows rows = scanAll(os.str());
+    ASSERT_EQ(rows.size(), 5u);
+    EXPECT_EQ(rows[0], (std::vector<std::string>{"name", "value"}));
+    EXPECT_EQ(rows[1][0], "plain");
+    EXPECT_EQ(rows[2][0], "with,comma");
+    EXPECT_EQ(rows[3][0], "with \"quote\"");
+    EXPECT_EQ(rows[4][0], "with\nnewline");
+    EXPECT_EQ(rows[4][1], "4");
 }
 
 TEST(ParseCsv, Empty)
 {
-    const CsvDocument doc = parseCsv("");
-    EXPECT_TRUE(doc.header.empty());
-    EXPECT_TRUE(doc.rows.empty());
+    EXPECT_TRUE(scanAll("").empty());
+    EXPECT_TRUE(scanAll("\n\r\n\r").empty());
 }
 
 TEST(ParseCsv, HeaderOnly)
 {
-    const CsvDocument doc = parseCsv("a,b,c\n");
-    EXPECT_EQ(doc.header.size(), 3u);
-    EXPECT_TRUE(doc.rows.empty());
+    const Rows rows = scanAll("a,b,c\n");
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].size(), 3u);
 }
 
 TEST(ParseCsv, CrLfLineEndings)
 {
-    const CsvDocument doc = parseCsv("a,b\r\n1,2\r\n");
-    ASSERT_EQ(doc.rows.size(), 1u);
-    EXPECT_EQ(doc.at(0, "b"), "2");
+    const Rows rows = scanAll("a,b\r\n1,2\r\n\"x\",\"y\"\r\n");
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
+    EXPECT_EQ(rows[2], (std::vector<std::string>{"x", "y"}));
 }
 
-TEST(ParseCsv, MissingColumnIndex)
+TEST(ParseCsv, RecordLineNumbers)
 {
-    const CsvDocument doc = parseCsv("a,b\n1,2\n");
-    EXPECT_EQ(doc.columnIndex("a"), 0);
-    EXPECT_EQ(doc.columnIndex("b"), 1);
-    EXPECT_EQ(doc.columnIndex("zzz"), -1);
+    // line() names where each record starts, blank lines and
+    // newlines inside quotes included.
+    CsvScanner scanner("a,b\n\n1,\"x\ny\"\n2,3\n", ',', 5);
+    std::vector<std::string_view> fields;
+    ASSERT_TRUE(scanner.next(fields));
+    EXPECT_EQ(scanner.line(), 5u);
+    ASSERT_TRUE(scanner.next(fields));
+    EXPECT_EQ(scanner.line(), 7u);
+    EXPECT_EQ(fields[1], "x\ny");
+    ASSERT_TRUE(scanner.next(fields));
+    EXPECT_EQ(scanner.line(), 9u);
+    EXPECT_FALSE(scanner.next(fields));
+    EXPECT_TRUE(fields.empty());
 }
 
 TEST(ParseCsvLine, EmptyFieldsKept)
 {
-    const auto fields = parseCsvLine("a,,c");
-    ASSERT_EQ(fields.size(), 3u);
-    EXPECT_EQ(fields[1], "");
+    const Rows rows = scanAll("a,,c");
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0].size(), 3u);
+    EXPECT_EQ(rows[0][1], "");
+    EXPECT_EQ(scanAll("a,b,")[0], (std::vector<std::string>{"a", "b", ""}));
 }
 
 TEST(ParseCsvLine, QuotedSeparator)
 {
-    const auto fields = parseCsvLine("\"a,b\",c");
-    ASSERT_EQ(fields.size(), 2u);
-    EXPECT_EQ(fields[0], "a,b");
+    const Rows rows = scanAll("\"a,b\",c");
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0].size(), 2u);
+    EXPECT_EQ(rows[0][0], "a,b");
+    // A quote may open mid-field; CR outside quotes is dropped.
+    EXPECT_EQ(scanAll("ab\"c,d\"e\r,f")[0],
+              (std::vector<std::string>{"abc,de", "f"}));
 }
 
 TEST(ParseCsv, NoTrailingNewline)
 {
-    const CsvDocument doc = parseCsv("a,b\n1,2");
-    ASSERT_EQ(doc.rows.size(), 1u);
-    EXPECT_EQ(doc.at(0, "b"), "2");
+    const Rows rows = scanAll("a,b\n1,2");
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[1][1], "2");
 }
 
 TEST(CsvRoundTrip, SingleEmptyFieldRowSurvives)
@@ -135,10 +177,10 @@ TEST(CsvRoundTrip, SingleEmptyFieldRowSurvives)
     writer.writeRow({"x"});
     EXPECT_EQ(os.str(), "only\n\"\"\nx\n");
 
-    const CsvDocument doc = parseCsv(os.str());
-    ASSERT_EQ(doc.rows.size(), 2u);
-    EXPECT_EQ(doc.at(0, "only"), "");
-    EXPECT_EQ(doc.at(1, "only"), "x");
+    const Rows rows = scanAll(os.str());
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[1], (std::vector<std::string>{""}));
+    EXPECT_EQ(rows[2], (std::vector<std::string>{"x"}));
 }
 
 TEST(CsvRoundTrip, EmptyEdgeFieldsSurvive)
@@ -149,13 +191,10 @@ TEST(CsvRoundTrip, EmptyEdgeFieldsSurvive)
     writer.writeRow({"", "mid", ""});
     writer.writeRow({"", "", ""});
 
-    const CsvDocument doc = parseCsv(os.str());
-    ASSERT_EQ(doc.rows.size(), 2u);
-    EXPECT_EQ(doc.at(0, "a"), "");
-    EXPECT_EQ(doc.at(0, "b"), "mid");
-    EXPECT_EQ(doc.at(0, "c"), "");
-    EXPECT_EQ(doc.at(1, "a"), "");
-    EXPECT_EQ(doc.at(1, "c"), "");
+    const Rows rows = scanAll(os.str());
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[1], (std::vector<std::string>{"", "mid", ""}));
+    EXPECT_EQ(rows[2], (std::vector<std::string>{"", "", ""}));
 }
 
 TEST(CsvRoundTrip, HostileFieldsExhaustive)
@@ -178,14 +217,12 @@ TEST(CsvRoundTrip, HostileFieldsExhaustive)
             ++expected_rows;
         }
 
-    const CsvDocument doc = parseCsv(os.str());
-    ASSERT_EQ(doc.rows.size(), expected_rows);
-    size_t row = 0;
+    const Rows rows = scanAll(os.str());
+    ASSERT_EQ(rows.size(), expected_rows + 1);
+    size_t row = 1;
     for (const auto &left : hostile)
         for (const auto &right : hostile) {
-            EXPECT_EQ(doc.at(row, "left"), left)
-                << "row " << row;
-            EXPECT_EQ(doc.at(row, "right"), right)
+            EXPECT_EQ(rows[row], (std::vector<std::string>{left, right}))
                 << "row " << row;
             ++row;
         }
@@ -204,10 +241,11 @@ TEST(CsvRoundTrip, SingleHostileColumn)
     for (const auto &value : hostile)
         writer.writeRow({value});
 
-    const CsvDocument doc = parseCsv(os.str());
-    ASSERT_EQ(doc.rows.size(), hostile.size());
+    const Rows rows = scanAll(os.str());
+    ASSERT_EQ(rows.size(), hostile.size() + 1);
     for (size_t i = 0; i < hostile.size(); ++i)
-        EXPECT_EQ(doc.at(i, "only"), hostile[i]) << "row " << i;
+        EXPECT_EQ(rows[i + 1], (std::vector<std::string>{hostile[i]}))
+            << "row " << i;
 }
 
 } // namespace
