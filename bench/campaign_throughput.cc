@@ -20,6 +20,11 @@
  * With `--json <path>` the same record is additionally written to
  * @p path (for CI artifact upload).
  *
+ * Each worker count's sweep repeats at least 7 times and until 0.3 s
+ * of work accumulated; the series reports — and the gate below
+ * judges — the median repetition. The report hash and the exact
+ * telemetry counters are checked on every repetition.
+ *
  * The >= 3x speedup assertion at 8 workers only fires when the host
  * actually has >= 8 hardware threads: wall-clock speedup from
  * CPU-bound simulation is physically impossible on fewer cores, and
@@ -64,16 +69,15 @@ eightCellConfig()
     return config;
 }
 
-struct Series
+/** One timed sweep: wall seconds and the serialized report. */
+struct Sweep
 {
-    int workers = 0;
     double seconds = 0.0;
-    double cellsPerSec = 0.0;
-    Seed reportHash = 0;
+    std::string bytes;
 };
 
-Series
-sweepWith(int workers, std::string *bytes_out = nullptr)
+Sweep
+sweepWith(int workers)
 {
     FrameworkConfig config = eightCellConfig();
     config.workers = workers;
@@ -85,19 +89,21 @@ sweepWith(int workers, std::string *bytes_out = nullptr)
     const auto report = framework.characterize(config);
     const auto end = std::chrono::steady_clock::now();
 
-    Series series;
-    series.workers = workers;
-    series.seconds =
+    Sweep sweep;
+    sweep.seconds =
         std::chrono::duration<double>(end - begin).count();
-    const double cells = static_cast<double>(
-        config.workloads.size() * config.cores.size());
-    series.cellsPerSec = cells / series.seconds;
-    const std::string bytes = serializeReport(report);
-    series.reportHash = util::hashSeed(bytes);
-    if (bytes_out)
-        *bytes_out = bytes;
-    return series;
+    sweep.bytes = serializeReport(report);
+    return sweep;
 }
+
+/** One worker count's repeated sweeps, judged on the median. */
+struct Series
+{
+    int workers = 0;
+    bench::RepeatedTiming timing;
+    double cellsPerSec = 0.0;
+    Seed reportHash = 0;
+};
 
 /** Time deserializeReport() — the LedgerView derivation path every
  *  archived or resumed campaign pays on load. */
@@ -149,65 +155,91 @@ main(int argc, char **argv)
     if (!telemetry_path.empty())
         sink = std::make_unique<obs::TelemetrySink>(telemetry_path);
 
-    // Each series runs against a zeroed registry so its exact
-    // counters are comparable across worker counts — the telemetry
-    // side of the determinism contract the report hash asserts.
+    // Every repetition runs against a zeroed registry so its exact
+    // counters are comparable across repetitions and worker counts —
+    // the telemetry side of the determinism contract the report hash
+    // asserts. Both are checked on every repetition, not just one.
+    const FrameworkConfig sweep_shape = eightCellConfig();
+    const double cells = static_cast<double>(
+        sweep_shape.workloads.size() * sweep_shape.cores.size());
     std::vector<Series> series;
     std::string report_bytes;
+    Seed report_hash = 0;
     std::string counters_json;
     bool counters_deterministic = true;
+    bool ok = true;
     for (const int workers : counts) {
         std::cerr << "sweeping with " << workers << " worker"
                   << (workers == 1 ? "" : "s") << "...\n";
-        obs::Registry::global().reset();
-        series.push_back(sweepWith(
-            workers, series.empty() ? &report_bytes : nullptr));
-        const std::string counters =
-            obs::Registry::global().countersJson();
-        if (counters_json.empty()) {
-            counters_json = counters;
-        } else if (counters != counters_json) {
+        Series s;
+        s.workers = workers;
+        bool hash_differs = false;
+        bool counters_differ = false;
+        s.timing = bench::repeatTimed([&] {
+            obs::Registry::global().reset();
+            Sweep sweep = sweepWith(workers);
+            const Seed hash = util::hashSeed(sweep.bytes);
+            const std::string counters =
+                obs::Registry::global().countersJson();
+            if (report_bytes.empty()) {
+                report_bytes = std::move(sweep.bytes);
+                report_hash = hash;
+                counters_json = counters;
+            }
+            if (s.reportHash == 0)
+                s.reportHash = hash;
+            hash_differs = hash_differs || hash != report_hash;
+            counters_differ =
+                counters_differ || counters != counters_json;
+            return sweep.seconds;
+        });
+        s.cellsPerSec = cells / s.timing.medianSeconds;
+        if (hash_differs) {
+            std::cerr << "FAIL: a report at " << workers
+                      << " workers differs from the first 1-worker "
+                         "report (hash mismatch) — the "
+                         "determinism contract is broken\n";
+            ok = false;
+        }
+        if (counters_differ) {
             std::cerr << "FAIL: exact telemetry counters at "
                       << workers
                       << " workers differ from the 1-worker run\n";
             counters_deterministic = false;
+            ok = false;
         }
+        series.push_back(s);
         if (sink)
             sink->flush();
     }
 
-    bool ok = counters_deterministic;
+    const double base_seconds = series.front().timing.medianSeconds;
     for (const auto &s : series) {
         std::cout << util::padLeft(std::to_string(s.workers), 3)
                   << " workers: "
                   << util::padLeft(util::formatDouble(s.cellsPerSec, 2),
                                    8)
-                  << " cells/s  ("
-                  << util::formatDouble(s.seconds, 3) << " s, x"
+                  << " cells/s  (median "
+                  << util::formatDouble(s.timing.medianSeconds, 4)
+                  << " s of " << s.timing.repetitions
+                  << ", IQR "
+                  << util::formatDouble(s.timing.iqrSeconds, 4)
+                  << " s, x"
                   << util::formatDouble(
-                         s.seconds > 0.0
-                             ? series.front().seconds / s.seconds
-                             : 0.0,
-                         2)
+                         base_seconds / s.timing.medianSeconds, 2)
                   << " vs 1 worker)\n";
-        if (s.reportHash != series.front().reportHash) {
-            std::cerr << "FAIL: report at " << s.workers
-                      << " workers differs from the 1-worker "
-                         "report (hash mismatch) — the "
-                         "determinism contract is broken\n";
-            ok = false;
-        }
     }
 
     double speedup8 = 0.0;
     for (const auto &s : series)
-        if (s.workers == 8 && s.seconds > 0.0)
-            speedup8 = series.front().seconds / s.seconds;
+        if (s.workers == 8)
+            speedup8 = base_seconds / s.timing.medianSeconds;
     if (hardware >= 8 && speedup8 < 3.0) {
         std::cerr << "FAIL: 8 workers on " << hardware
                   << " hardware threads reached only x"
                   << util::formatDouble(speedup8, 2)
-                  << " over 1 worker (>= 3x required)\n";
+                  << " over 1 worker in the median (>= 3x "
+                     "required)\n";
         ok = false;
     } else if (hardware < 8) {
         std::cout << "note: host has " << hardware
@@ -229,7 +261,13 @@ main(int argc, char **argv)
     for (size_t i = 0; i < series.size(); ++i) {
         const auto &s = series[i];
         json << (i ? "," : "") << "{\"workers\":" << s.workers
-             << ",\"seconds\":" << util::formatDouble(s.seconds, 4)
+             << ",\"repetitions\":" << s.timing.repetitions
+             << ",\"seconds\":"
+             << util::formatDouble(s.timing.medianSeconds, 4)
+             << ",\"seconds_min\":"
+             << util::formatDouble(s.timing.minSeconds, 4)
+             << ",\"seconds_iqr\":"
+             << util::formatDouble(s.timing.iqrSeconds, 4)
              << ",\"cells_per_sec\":"
              << util::formatDouble(s.cellsPerSec, 2)
              << ",\"report_hash\":\"" << std::hex << s.reportHash

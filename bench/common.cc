@@ -1,5 +1,6 @@
 #include "common.hh"
 
+#include <algorithm>
 #include <iostream>
 
 #include "util/strings.hh"
@@ -49,6 +50,44 @@ characterizeThreeChips(
             campaigns, max_epochs));
     }
     return reports;
+}
+
+namespace
+{
+
+/** Linear-interpolated quantile @p q of ascending @p sorted. */
+double
+quantile(const std::vector<double> &sorted, double q)
+{
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] +
+           (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+} // namespace
+
+RepeatedTiming
+repeatTimed(const std::function<double()> &once)
+{
+    constexpr size_t kMinRepetitions = 7;
+    constexpr double kMinSeconds = 0.3;
+    std::vector<double> seconds;
+    double total = 0.0;
+    while (seconds.size() < kMinRepetitions || total < kMinSeconds) {
+        seconds.push_back(once());
+        total += seconds.back();
+    }
+    std::sort(seconds.begin(), seconds.end());
+
+    RepeatedTiming timing;
+    timing.repetitions = static_cast<int>(seconds.size());
+    timing.medianSeconds = quantile(seconds, 0.5);
+    timing.minSeconds = seconds.front();
+    timing.iqrSeconds =
+        quantile(seconds, 0.75) - quantile(seconds, 0.25);
+    return timing;
 }
 
 void

@@ -9,6 +9,7 @@
 #ifndef VMARGIN_BENCH_COMMON_HH
 #define VMARGIN_BENCH_COMMON_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +51,22 @@ ChipReport characterizeChip(sim::ChipCorner corner, uint32_t serial,
                             MegaHertz frequency, MilliVolt start,
                             MilliVolt end, int campaigns,
                             uint32_t max_epochs);
+
+/** Wall-time statistics of one repeated throughput-bench series. */
+struct RepeatedTiming
+{
+    int repetitions = 0;
+    double medianSeconds = 0.0;
+    double minSeconds = 0.0;
+    double iqrSeconds = 0.0; ///< third minus first quartile
+};
+
+/**
+ * Run @p once — one full repetition of a series, returning its wall
+ * seconds — at least 7 times and until 0.3 s of work accumulated, so
+ * a series of a few milliseconds still yields a stable median.
+ */
+RepeatedTiming repeatTimed(const std::function<double()> &once);
 
 /** "reproduced" / "paper" comparison line for the bench output. */
 void printComparison(const std::string &what, double measured,

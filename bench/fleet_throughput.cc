@@ -7,6 +7,11 @@
  * worker count AND for a shuffled chip enumeration order (the full
  * byte comparison lives in tests/integration/test_fleet_executor).
  *
+ * Each (chips, workers) series repeats its sweep at least 7 times
+ * and until 0.3 s of work accumulated, and reports the median
+ * repetition; the report hash and exact counters are checked on
+ * every repetition.
+ *
  * Emits a JSON record per (chips, workers) series:
  *
  *   {"bench":"fleet_throughput","series":[...],
@@ -64,18 +69,15 @@ fleetOf(int chips)
                                     pool.begin() + chips);
 }
 
-struct Series
+/** One timed fleet sweep: wall seconds and the report hash. */
+struct Sweep
 {
-    int chips = 0;
-    int workers = 0;
     double seconds = 0.0;
-    double cellsPerSec = 0.0;
     Seed reportHash = 0;
 };
 
-Series
-sweepWith(int chips, int workers,
-          const std::vector<std::string> &chip_specs)
+Sweep
+sweepWith(int workers, const std::vector<std::string> &chip_specs)
 {
     sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TTT,
                            1);
@@ -89,18 +91,23 @@ sweepWith(int chips, int workers,
     const FleetReport report = executor.run(config);
     const auto end = std::chrono::steady_clock::now();
 
-    Series series;
-    series.chips = chips;
-    series.workers = workers;
-    series.seconds =
+    Sweep sweep;
+    sweep.seconds =
         std::chrono::duration<double>(end - begin).count();
-    const double cells = static_cast<double>(
-        config.chips.size() * config.framework.workloads.size() *
-        config.framework.cores.size());
-    series.cellsPerSec = cells / series.seconds;
-    series.reportHash = util::hashSeed(report.serialize());
-    return series;
+    sweep.reportHash = util::hashSeed(report.serialize());
+    return sweep;
 }
+
+/** One (chips, workers) pair's repeated sweeps, judged on the
+ *  median repetition. */
+struct Series
+{
+    int chips = 0;
+    int workers = 0;
+    bench::RepeatedTiming timing;
+    double cellsPerSec = 0.0;
+    Seed reportHash = 0;
+};
 
 } // namespace
 
@@ -134,6 +141,9 @@ main(int argc, char **argv)
     if (!telemetry_path.empty())
         sink = std::make_unique<obs::TelemetrySink>(telemetry_path);
 
+    const FrameworkConfig per_chip = eightCellConfig();
+    const double cells_per_chip = static_cast<double>(
+        per_chip.workloads.size() * per_chip.cores.size());
     std::vector<Series> series;
     std::string counters_json;
     bool ok = true;
@@ -145,26 +155,43 @@ main(int argc, char **argv)
                       << (chips == 1 ? "" : "s") << " with "
                       << workers << " worker"
                       << (workers == 1 ? "" : "s") << "...\n";
-            // Zero the registry per series: exact counters must come
-            // out identical for every worker count of a fleet size.
-            obs::Registry::global().reset();
-            const Series s =
-                sweepWith(chips, workers, fleetOf(chips));
-            const std::string counters =
-                obs::Registry::global().countersJson();
+            Series s;
+            s.chips = chips;
+            s.workers = workers;
+            bool hash_differs = false;
+            bool counters_differ = false;
+            s.timing = bench::repeatTimed([&] {
+                // Zero the registry per repetition: exact counters
+                // must come out identical for every repetition and
+                // worker count of a fleet size.
+                obs::Registry::global().reset();
+                const Sweep sweep = sweepWith(workers, fleetOf(chips));
+                const std::string counters =
+                    obs::Registry::global().countersJson();
+                if (first_hash == 0) {
+                    first_hash = sweep.reportHash;
+                    first_counters = counters;
+                    counters_json = counters; // largest fleet wins
+                }
+                if (s.reportHash == 0)
+                    s.reportHash = sweep.reportHash;
+                hash_differs =
+                    hash_differs || sweep.reportHash != first_hash;
+                counters_differ =
+                    counters_differ || counters != first_counters;
+                return sweep.seconds;
+            });
+            s.cellsPerSec = static_cast<double>(chips) *
+                            cells_per_chip / s.timing.medianSeconds;
             if (sink)
                 sink->flush();
-            if (first_hash == 0) {
-                first_hash = s.reportHash;
-                first_counters = counters;
-                counters_json = counters; // largest fleet size wins
-            } else if (s.reportHash != first_hash) {
-                std::cerr << "FAIL: " << chips << "-chip report at "
+            if (hash_differs) {
+                std::cerr << "FAIL: a " << chips << "-chip report at "
                           << workers
                           << " workers differs from the first "
                              "worker count (hash mismatch)\n";
                 ok = false;
-            } else if (counters != first_counters) {
+            } else if (counters_differ) {
                 std::cerr << "FAIL: " << chips
                           << "-chip exact telemetry counters at "
                           << workers
@@ -178,8 +205,7 @@ main(int argc, char **argv)
         // Shuffled chip enumeration order must hash identically.
         std::vector<std::string> shuffled = fleetOf(chips);
         std::reverse(shuffled.begin(), shuffled.end());
-        const Series reordered = sweepWith(chips, 4, shuffled);
-        if (reordered.reportHash != first_hash) {
+        if (sweepWith(4, shuffled).reportHash != first_hash) {
             std::cerr << "FAIL: " << chips
                       << "-chip report depends on the chip "
                          "enumeration order (hash mismatch)\n";
@@ -194,8 +220,11 @@ main(int argc, char **argv)
                   << " workers: "
                   << util::padLeft(
                          util::formatDouble(s.cellsPerSec, 2), 8)
-                  << " cells/s  ("
-                  << util::formatDouble(s.seconds, 3) << " s)\n";
+                  << " cells/s  (median "
+                  << util::formatDouble(s.timing.medianSeconds, 4)
+                  << " s of " << s.timing.repetitions << ", IQR "
+                  << util::formatDouble(s.timing.iqrSeconds, 4)
+                  << " s)\n";
 
     std::ostringstream json;
     json << "{\"bench\":\"fleet_throughput\",\"cells_per_chip\":8,"
@@ -204,7 +233,13 @@ main(int argc, char **argv)
         const auto &s = series[i];
         json << (i ? "," : "") << "{\"chips\":" << s.chips
              << ",\"workers\":" << s.workers
-             << ",\"seconds\":" << util::formatDouble(s.seconds, 4)
+             << ",\"repetitions\":" << s.timing.repetitions
+             << ",\"seconds\":"
+             << util::formatDouble(s.timing.medianSeconds, 4)
+             << ",\"seconds_min\":"
+             << util::formatDouble(s.timing.minSeconds, 4)
+             << ",\"seconds_iqr\":"
+             << util::formatDouble(s.timing.iqrSeconds, 4)
              << ",\"cells_per_sec\":"
              << util::formatDouble(s.cellsPerSec, 2)
              << ",\"report_hash\":\"" << std::hex << s.reportHash

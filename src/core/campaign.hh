@@ -64,9 +64,10 @@ struct CampaignResult
     CampaignConfig config;
     std::vector<ClassifiedRun> runs;
 
-    /** Zero-copy run records (identity + full simulator result).
-     *  The classified rows in `runs` are built directly from these;
-     *  the legacy text log is derived on demand via rawLog(). */
+    /** Run records (identity + simulator result, whose counters are
+     *  all zero: campaigns run with ExecutionConfig::collectCounters
+     *  off). The classified rows in `runs` are built directly from
+     *  these; the legacy text log is derived on demand via rawLog(). */
     std::vector<RunLogRecord> records;
 
     uint64_t watchdogInterventions = 0;

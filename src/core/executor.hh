@@ -43,15 +43,16 @@ namespace vmargin
 
 /**
  * Run all campaign repetitions of one (workload, core) cell through
- * @p runner and collect runs, raw logs and recovery telemetry.
- * Shared by the sequential measureCell() entry point and the sweep
- * core's workers (each worker passes a runner bound to its own
- * platform replica).
+ * @p runner into @p cell: sets its workload and core, and appends
+ * its runs and recovery telemetry (into whatever capacity the caller
+ * reserved for cell.runs). Shared by the sequential measureCell()
+ * entry point and the sweep core's workers (each worker passes a
+ * runner bound to its own platform replica).
  */
-CellMeasurement measureCellWith(CampaignRunner &runner,
-                                const wl::WorkloadProfile &workload,
-                                CoreId core,
-                                const FrameworkConfig &config);
+void measureCellWith(CampaignRunner &runner,
+                     const wl::WorkloadProfile &workload, CoreId core,
+                     const FrameworkConfig &config,
+                     CellMeasurement &cell);
 
 /** One chip of a sweep: its data-model identity and the prototype
  *  platform its cells replicate (read, never executed on). */

@@ -203,8 +203,8 @@ CharacterizationFramework::measureCell(
     const wl::WorkloadProfile &workload, CoreId core,
     const FrameworkConfig &config)
 {
-    CellMeasurement cell =
-        measureCellWith(runner_, workload, core, config);
+    CellMeasurement cell;
+    measureCellWith(runner_, workload, core, config, cell);
     cell.chip = chipRefOf(*platform_);
     return cell;
 }

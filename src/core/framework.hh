@@ -187,10 +187,10 @@ class CharacterizationFramework
                                 const FrameworkConfig &config);
 
     /**
-     * Run all campaign repetitions of one cell and collect runs,
-     * raw logs and recovery telemetry. Both characterize() and
-     * characterizeCell() route through this, so the journal and
-     * recovery hooks live in exactly one place.
+     * Run all campaign repetitions of one cell on this framework's
+     * platform and collect runs and recovery telemetry. Shares
+     * measureCellWith() with the sweep's workers, so the campaign
+     * loop lives in exactly one place.
      */
     CellMeasurement measureCell(const wl::WorkloadProfile &workload,
                                 CoreId core,

@@ -103,12 +103,9 @@ struct ChipRef
 
 /**
  * One (workload, core) cell's complete measurement: the classified
- * runs of all campaign repetitions plus the zero-copy run records
- * and the recovery/watchdog record that produced them. This is the
- * unit the ledger commits and replays. Run records exist only for
- * freshly measured cells — the ledger persists the classified
- * records, not the raw results they were built from; the legacy
- * text log is rendered on demand by rawLog().
+ * runs of all campaign repetitions plus the recovery/watchdog record
+ * that produced them. This is the unit the ledger commits and
+ * replays; a fresh cell and a replayed one carry the same fields.
  */
 struct CellMeasurement
 {
@@ -117,15 +114,8 @@ struct CellMeasurement
     std::string workloadId;
     CoreId core = 0;
     std::vector<ClassifiedRun> runs;
-    std::vector<RunLogRecord> records;
     uint64_t watchdogInterventions = 0;
     RecoveryTelemetry telemetry;
-
-    /** Legacy text-log view, rendered lazily from `records`. */
-    std::vector<std::string> rawLog() const
-    {
-        return formatCampaignLog(records);
-    }
 };
 
 /** Result cell for one (workload, core) pair. */

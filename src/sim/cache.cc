@@ -43,21 +43,25 @@ Cache::Cache(std::string name, int size_kb, int assoc, int line_bytes,
         panicf("Cache ", name_, ": set count ", sets_,
                " must be a non-zero power of two");
     lineShift_ = log2OfPow2(line_bytes);
+}
+
+void
+Cache::allocateStorage()
+{
     const size_t lines = sets_ * static_cast<size_t>(assoc_);
     // Only the key array needs a defined initial value (generation
     // field 0 != gen_ marks every way invalid). The timestamp array
     // is deliberately left uninitialized — an invalid way's
-    // timestamp/dirty word is never read before the way is filled —
-    // which keeps hierarchy construction cheap: platforms are built
-    // per worker and per cell, and zero-filling the 8 MB L3's
-    // arrays dominated that cost.
-    keys_.resize(lines, 0);
+    // timestamp/dirty word is never read before the way is filled.
+    keys_.assign(lines, 0);
     lastUse_.reset(new uint64_t[lines]);
 }
 
 bool
 Cache::contains(uint64_t addr) const
 {
+    if (keys_.empty())
+        return false; // never accessed: every way is invalid
     const size_t base =
         setIndex(addr) * static_cast<size_t>(assoc_);
     const uint64_t key = keyOf(tagOf(addr));

@@ -153,6 +153,9 @@ class Cache
     template <int kAssoc>
     AccessResult accessImpl(uint64_t addr, bool is_write);
 
+    /** Allocate the way arrays; called by the first access(). */
+    void allocateStorage();
+
     std::string name_;
     int sizeKb_;
     int assoc_;
@@ -173,8 +176,13 @@ class Cache
      * of a whole characterization sweep. Only keys_ needs
      * zero-initialization; lastUse_ is allocated uninitialized (its
      * content is never read before the way is filled, because a
-     * stale generation reads as invalid), which keeps per-cell
-     * platform construction cheap.
+     * stale generation reads as invalid).
+     *
+     * Both arrays are allocated by the first access(), not by the
+     * constructor: empty keys_ reads as all ways invalid, exactly
+     * like freshly zeroed keys. Campaigns run with counters off and
+     * never walk the caches, so the per-cell platform replicas they
+     * run on never allocate or zero the hierarchy's ~2.4 MB of ways.
      *
      * lastUse_ packs (useClock << 1 | dirty): the clock strictly
      * increases, so two ways never share a clock value and the LRU
@@ -268,6 +276,8 @@ Cache::accessImpl(uint64_t addr, bool is_write)
 inline AccessResult
 Cache::access(uint64_t addr, bool is_write)
 {
+    if (keys_.empty()) [[unlikely]]
+        allocateStorage();
     // The X-Gene 2 geometries are 8-way (L1s, L2) and 16-way (L3);
     // dispatching on the associativity gives those bodies
     // fixed-trip-count scans the compiler unrolls fully. Each Cache

@@ -119,51 +119,60 @@ Core::run(const wl::WorkloadProfile &workload, const OnsetSet &onsets,
         prev_ipc = act.ipc();
 
         // ---- drive the caches with sampled streams --------------
-        // The write-intent draws and the address draws come from
-        // independent RNG streams, so drawing each stream into its
-        // scratch buffer up front yields exactly the per-stream
-        // sequences of the old interleaved loop — and lets the
-        // hierarchy walk the whole sample array in one batch.
-        for (uint32_t s = 0; s < data_samples; ++s)
-            writeScratch_[s] =
-                fault_rng.bernoulli(store_frac) ? 1 : 0;
-        for (uint32_t s = 0; s < data_samples; ++s)
-            addrScratch_[s] = data_stream.next();
-        const DataBatchCounts data = caches_->dataAccessBatch(
-            id_, addrScratch_.data(), writeScratch_.data(),
-            data_samples);
-        for (uint32_t s = 0; s < instr_samples; ++s)
-            addrScratch_[s] = instr_stream.next();
-        const InstrBatchCounts instr = caches_->instrFetchBatch(
-            id_, addrScratch_.data(), instr_samples);
+        if (!config.collectCounters) {
+            // Counters off: nothing reads the cache walk, so skip it
+            // and the PMU update, but consume the write-intent draws
+            // (one next() per bernoulli) so every fault draw below
+            // sees the same fault_rng position.
+            for (uint32_t s = 0; s < data_samples; ++s)
+                (void)fault_rng.next();
+        } else {
+            // The write-intent draws and the address draws come from
+            // independent RNG streams, so drawing each stream into its
+            // scratch buffer up front yields exactly the per-stream
+            // sequences of the old interleaved loop — and lets the
+            // hierarchy walk the whole sample array in one batch.
+            for (uint32_t s = 0; s < data_samples; ++s)
+                writeScratch_[s] =
+                    fault_rng.bernoulli(store_frac) ? 1 : 0;
+            for (uint32_t s = 0; s < data_samples; ++s)
+                addrScratch_[s] = data_stream.next();
+            const DataBatchCounts data = caches_->dataAccessBatch(
+                id_, addrScratch_.data(), writeScratch_.data(),
+                data_samples);
+            for (uint32_t s = 0; s < instr_samples; ++s)
+                addrScratch_[s] = instr_stream.next();
+            const InstrBatchCounts instr = caches_->instrFetchBatch(
+                id_, addrScratch_.data(), instr_samples);
 
-        // Scale sampled miss counts up to the epoch's true traffic.
-        const double mem_ops =
-            static_cast<double>(act.loads + act.stores);
-        const double dscale =
-            data_samples ? mem_ops / data_samples : 0.0;
-        const double iscale =
-            instr_samples
-                ? static_cast<double>(act.instructions) / 4.0 /
-                      instr_samples
-                : 0.0;
-        const uint64_t l1d_miss =
-            util::scaleCount(data.l1Miss, dscale);
-        const uint64_t l1d_wb =
-            util::scaleCount(data.writebacksFromL1, dscale);
-        const uint64_t l2_miss =
-            util::scaleCount(data.l2Miss, dscale);
-        const uint64_t l2_wb =
-            util::scaleCount(data.writebacksFromL2, dscale);
-        const uint64_t l3_miss =
-            util::scaleCount(data.l3Miss, dscale);
-        const uint64_t l1i_miss =
-            util::scaleCount(instr.l1Miss, iscale);
-        const uint64_t l2i_miss =
-            util::scaleCount(instr.l2Miss, iscale);
+            // Scale sampled miss counts up to the epoch's true traffic.
+            const double mem_ops =
+                static_cast<double>(act.loads + act.stores);
+            const double dscale =
+                data_samples ? mem_ops / data_samples : 0.0;
+            const double iscale =
+                instr_samples
+                    ? static_cast<double>(act.instructions) / 4.0 /
+                          instr_samples
+                    : 0.0;
+            const uint64_t l1d_miss =
+                util::scaleCount(data.l1Miss, dscale);
+            const uint64_t l1d_wb =
+                util::scaleCount(data.writebacksFromL1, dscale);
+            const uint64_t l2_miss =
+                util::scaleCount(data.l2Miss, dscale);
+            const uint64_t l2_wb =
+                util::scaleCount(data.writebacksFromL2, dscale);
+            const uint64_t l3_miss =
+                util::scaleCount(data.l3Miss, dscale);
+            const uint64_t l1i_miss =
+                util::scaleCount(instr.l1Miss, iscale);
+            const uint64_t l2i_miss =
+                util::scaleCount(instr.l2Miss, iscale);
 
-        updatePmu(act, workload, l1d_miss, l1d_wb, l2_miss, l2_wb,
-                  l3_miss, l1i_miss, l2i_miss);
+            updatePmu(act, workload, l1d_miss, l1d_wb, l2_miss, l2_wb,
+                      l3_miss, l1i_miss, l2i_miss);
+        }
         result.epochsExecuted = epoch + 1;
 
         // ---- fault injection ------------------------------------
@@ -274,7 +283,8 @@ Core::run(const wl::WorkloadProfile &workload, const OnsetSet &onsets,
     result.activityFactor = std::clamp(
         0.30 + 0.55 * issue_util + 0.15 * workload.memAccessFrac(),
         0.0, 1.0);
-    result.counters = pmu_.snapshot();
+    if (config.collectCounters)
+        result.counters = pmu_.snapshot();
     return result;
 }
 

@@ -4,8 +4,9 @@
  *
  * A Core "runs" a workload profile epoch by epoch: the activity
  * generator supplies event counts, sampled address streams drive the
- * functional cache hierarchy, the PMU accumulates the 101 counters,
- * and the fault layer injects undervolting effects according to the
+ * functional cache hierarchy, the PMU accumulates the 101 counters
+ * (both skipped when ExecutionConfig::collectCounters is off), and
+ * the fault layer injects undervolting effects according to the
  * margin model's ground-truth onsets.
  *
  * Fault semantics per run: for every effect class the run draws a
@@ -65,6 +66,31 @@ struct ExecutionConfig
      * assumes; the ablation_droop bench sweeps it.
      */
     double droopSensitivityMv = 0.0;
+
+    /**
+     * Run the cache model and fill the PMU counters (default). When
+     * false the run skips the sampled address streams, the cache
+     * walks and the PMU update, and RunResult::counters stays all
+     * zero; every other field is bit-identical to a counters-on run
+     * of the same config. That is exact because the address streams
+     * draw from their own seeded RNGs and the cache walk's outcome
+     * feeds only the counters; the one shared stream, fault_rng,
+     * still advances by dataSamplesPerEpoch draws per epoch in place
+     * of the write-intent draws it would have fed the walk.
+     *
+     * The one thing a counters-off run does not reproduce is the
+     * cache contents it leaves behind: the hierarchy stays as the
+     * run found it instead of warmed by its accesses. Only a later
+     * counters-on run on the same platform, with no power cycle in
+     * between, could see that. Campaigns (CampaignRunner, the only
+     * caller that turns counters off) keep that invariant: the sweep
+     * measures every cell on its own freshReplica() platform, which
+     * no counter-reading caller ever shares, and nothing profiles a
+     * platform after CharacterizationFramework::characterizeCell()
+     * ran campaigns on it. Profiler, the governor daemon and the
+     * kernel benches keep the default.
+     */
+    bool collectCounters = true;
 };
 
 /** Everything observed about one run. */
@@ -88,6 +114,8 @@ struct RunResult
     double avgIpc = 0.0;
     /** Switching-activity proxy in [0, 1] for the power model. */
     double activityFactor = 0.0;
+    /** All 101 PMU counters; all zero when the run was executed
+     *  with ExecutionConfig::collectCounters off. */
     PmuSnapshot counters{};
     std::vector<ErrorRecord> errors;
 
@@ -121,9 +149,6 @@ class Core
                   const ExecutionConfig &config);
 
     CoreId id() const { return id_; }
-
-    /** Counters of the most recent run. */
-    const Pmu &pmu() const { return pmu_; }
 
   private:
     /** Fold one epoch's activity + cache behaviour into the PMU. */

@@ -112,6 +112,23 @@ TEST(Cache, InvalidateAllDropsLinesKeepsStats)
     EXPECT_FALSE(cache.access(0x0, false).hit);
 }
 
+TEST(Cache, NeverAccessedCacheReadsEmpty)
+{
+    // The way arrays are allocated by the first access; before it,
+    // and across power-cycle invalidations, every way is invalid.
+    Cache cache = smallCache();
+    EXPECT_FALSE(cache.contains(0x0));
+    EXPECT_EQ(cache.validLines(), 0u);
+    cache.invalidateAll();
+    cache.invalidateAll();
+    EXPECT_FALSE(cache.contains(0x0));
+    EXPECT_EQ(cache.validLines(), 0u);
+    EXPECT_FALSE(cache.access(0x0, true).hit);
+    EXPECT_TRUE(cache.contains(0x0));
+    EXPECT_EQ(cache.validLines(), 1u);
+    EXPECT_EQ(cache.stats().accesses, 1u);
+}
+
 TEST(Cache, ResetStats)
 {
     Cache cache = smallCache();

@@ -100,10 +100,46 @@ TEST(KernelGolden, FaultRngAndAddressStreamSequences)
 }
 
 /**
+ * Every RunResult field except the counters must match between a
+ * counters-on and a counters-off run of the same config; the
+ * counters-off run's counters must be all zero.
+ */
+void
+expectSameOutcome(const RunResult &on, const RunResult &off)
+{
+    EXPECT_EQ(off.systemCrashed, on.systemCrashed);
+    EXPECT_EQ(off.applicationCrashed, on.applicationCrashed);
+    EXPECT_EQ(off.completed, on.completed);
+    EXPECT_EQ(off.outputMatches, on.outputMatches);
+    EXPECT_EQ(off.exitCode, on.exitCode);
+    EXPECT_EQ(off.sdcEvents, on.sdcEvents);
+    EXPECT_EQ(off.correctedErrors, on.correctedErrors);
+    EXPECT_EQ(off.uncorrectedErrors, on.uncorrectedErrors);
+    EXPECT_EQ(off.epochsExecuted, on.epochsExecuted);
+    EXPECT_EQ(off.voltage, on.voltage);
+    EXPECT_EQ(off.frequency, on.frequency);
+    EXPECT_EQ(off.simulatedSeconds, on.simulatedSeconds);
+    EXPECT_EQ(off.avgIpc, on.avgIpc);
+    EXPECT_EQ(off.activityFactor, on.activityFactor);
+    ASSERT_EQ(off.errors.size(), on.errors.size());
+    for (size_t i = 0; i < on.errors.size(); ++i) {
+        EXPECT_EQ(off.errors[i].kind, on.errors[i].kind);
+        EXPECT_EQ(off.errors[i].site, on.errors[i].site);
+        EXPECT_EQ(off.errors[i].core, on.errors[i].core);
+        EXPECT_EQ(off.errors[i].epoch, on.errors[i].epoch);
+        EXPECT_EQ(off.errors[i].count, on.errors[i].count);
+    }
+    EXPECT_EQ(off.counters, PmuSnapshot{})
+        << "a counters-off run must leave every counter zero";
+}
+
+/**
  * A representative run per effect regime, hashed end to end: every
  * counter, error record and observable. Reordering any draw inside
  * Core::run (the batching refactor's one forbidden failure mode)
- * changes this hash.
+ * changes this hash. Each run is repeated with collectCounters off,
+ * which must reproduce everything but the counters — so the draws
+ * that stand in for the skipped write-intent draws are pinned too.
  */
 TEST(KernelGolden, RunResultAcrossVoltageGrid)
 {
@@ -119,6 +155,23 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
     onsets.sc = 870;
 
     uint64_t hash = kFnvBasis;
+    int abnormal_runs = 0;
+    const auto runBoth = [&](const char *workload,
+                             ExecutionConfig config) {
+        const auto &profile = wl::findWorkload(workload);
+        config.collectCounters = true;
+        caches.invalidateAll();
+        const RunResult on = core.run(profile, onsets, config);
+        hash = hashRun(hash, on);
+        config.collectCounters = false;
+        caches.invalidateAll();
+        const RunResult off = core.run(profile, onsets, config);
+        SCOPED_TRACE(testing::Message()
+                     << workload << " at " << config.voltage << " mV");
+        expectSameOutcome(on, off);
+        abnormal_runs += on.abnormal() ? 1 : 0;
+    };
+
     // Above every onset; straddling CE/SDC; inside UE/AC; deep in
     // the crash region — all four fault regimes contribute.
     for (const MilliVolt v : {980, 910, 890, 875, 860}) {
@@ -127,10 +180,7 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
         config.seed = util::mixSeed(0xC0FFEEULL,
                                     static_cast<uint64_t>(v));
         config.maxEpochs = 12;
-        caches.invalidateAll();
-        const RunResult r =
-            core.run(wl::findWorkload("bwaves/ref"), onsets, config);
-        hash = hashRun(hash, r);
+        runBoth("bwaves/ref", config);
     }
     // di/dt droop exercises the epoch-swing path too.
     {
@@ -139,14 +189,14 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
         config.seed = 0xD1D7ULL;
         config.maxEpochs = 12;
         config.droopSensitivityMv = 25.0;
-        caches.invalidateAll();
-        const RunResult r =
-            core.run(wl::findWorkload("mcf/ref"), onsets, config);
-        hash = hashRun(hash, r);
+        runBoth("mcf/ref", config);
     }
 
     EXPECT_EQ(hash, 0x80175df6fa2a45b3ULL)
         << "kernel draw order or outcome semantics changed";
+    // The comparison only bites if fault draws happened after the
+    // skipped cache walk.
+    EXPECT_GE(abnormal_runs, 3);
 }
 
 } // namespace
