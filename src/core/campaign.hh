@@ -107,18 +107,6 @@ class CampaignRunner
      */
     CampaignResult run(const CampaignConfig &config);
 
-    /** Total watchdog interventions across all campaigns so far. */
-    uint64_t totalInterventions() const
-    {
-        return watchdog_.interventions();
-    }
-
-    /** Cumulative recovery counters across all campaigns so far. */
-    const RecoveryTelemetry &totalTelemetry() const
-    {
-        return managed_.telemetry();
-    }
-
   private:
     /**
      * Seed material for the coordinates that are invariant across a

@@ -134,61 +134,80 @@ struct SweepStats
     obs::SpanStat &chipMerge = span("chip_merge");
 };
 
-} // namespace
-
-std::vector<CharacterizationReport>
-runSweep(const std::vector<SweepChip> &chips,
-         const FrameworkConfig &config,
-         const std::string &journal_header, ChipRef implicit_chip,
-         const std::string &metric_prefix)
+/**
+ * One runSweep() call: its inputs, the journal and cache it serves
+ * from and appends to, and what each phase hands the next — the plan,
+ * the fresh cells' measurements and whether the budget cut the plan.
+ */
+struct Sweep
 {
-    SweepStats stats(metric_prefix);
-    // The sink (when enabled) is strictly out-of-band: it reads the
-    // registry at deterministic boundaries and never feeds anything
-    // back into the report.
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!config.telemetryPath.empty())
-        sink = std::make_unique<obs::TelemetrySink>(
-            config.telemetryPath);
-    stats.chips.inc(chips.size());
+    Sweep(const std::vector<SweepChip> &chips,
+          const FrameworkConfig &config, const std::string &prefix)
+        : chips(chips), config(config), stats(prefix),
+          configHashes(chips.size(), 0)
+    {
+    }
 
-    // The flush knobs shape durability, never measurements — they
-    // are deliberately absent from the binding header and
-    // cellConfigHash, so a journal written under one policy resumes
-    // under another. One journal and one cache serve every chip: the
-    // chip dimension in the ledger index keeps their cells apart.
+    const std::vector<SweepChip> &chips;
+    const FrameworkConfig &config;
+    SweepStats stats;
     std::unique_ptr<CampaignJournal> journal;
-    if (!config.journalPath.empty()) {
-        journal = std::make_unique<CampaignJournal>(
-            config.journalPath, config.writeOptions());
-        journal->open(journal_header, implicit_chip);
-    }
-
     std::unique_ptr<CellResultCache> cache;
-    std::vector<Seed> config_hashes(chips.size(), 0);
-    if (!config.cachePath.empty()) {
-        cache = std::make_unique<CellResultCache>(
-            config.cachePath, config.writeOptions());
-        cache->open();
-        for (size_t ci = 0; ci < chips.size(); ++ci)
-            config_hashes[ci] =
-                cellConfigHash(config, *chips[ci].prototype);
-    }
-
-    // ---- plan: chip-major walk in canonical order ----------------
-    // Replays are resolved (and copied — later appends invalidate
-    // the journal/cache pointers) up front; the cell budget counts
-    // only fresh cells, sweep-wide, and truncates the plan exactly
-    // where a sequential chip-by-chip walk would have stopped.
+    std::vector<Seed> configHashes; ///< per chip, when cached
     std::vector<PlanEntry> plan;
-    plan.reserve(chips.size() * config.workloads.size() *
-                 config.cores.size());
+    std::vector<CellMeasurement> measured; ///< fresh cells, by plan slot
     bool complete = true;
+};
+
+/**
+ * Open the sweep's journal and cache. The flush knobs shape
+ * durability, never measurements — they are deliberately absent from
+ * the binding header and cellConfigHash, so a journal written under
+ * one policy resumes under another. One journal and one cache serve
+ * every chip: the chip dimension in the ledger index keeps their
+ * cells apart.
+ */
+void
+openStores(Sweep &sweep, const std::string &journal_header,
+           ChipRef implicit_chip)
+{
+    const FrameworkConfig &config = sweep.config;
+    if (!config.journalPath.empty()) {
+        sweep.journal = std::make_unique<CampaignJournal>(
+            config.journalPath, config.writeOptions());
+        sweep.journal->open(journal_header, implicit_chip);
+    }
+    if (!config.cachePath.empty()) {
+        sweep.cache = std::make_unique<CellResultCache>(
+            config.cachePath, config.writeOptions());
+        sweep.cache->open();
+        for (size_t ci = 0; ci < sweep.chips.size(); ++ci)
+            sweep.configHashes[ci] =
+                cellConfigHash(config, *sweep.chips[ci].prototype);
+    }
+}
+
+/**
+ * Plan: a chip-major walk in canonical order. Replays are resolved
+ * (and copied — later appends invalidate the journal/cache pointers)
+ * up front; the cell budget counts only fresh cells, sweep-wide, and
+ * truncates the plan exactly where a sequential chip-by-chip walk
+ * would have stopped.
+ */
+void
+planCells(Sweep &sweep)
+{
+    const FrameworkConfig &config = sweep.config;
+    SweepStats &stats = sweep.stats;
+    std::vector<PlanEntry> &plan = sweep.plan;
+    plan.reserve(sweep.chips.size() * config.workloads.size() *
+                 config.cores.size());
     int fresh_cells = 0;
     {
         obs::ScopedSpan planning(stats.planSpan);
-        for (size_t ci = 0; ci < chips.size() && complete; ++ci) {
-            const ChipRef &chip = chips[ci].chip;
+        for (size_t ci = 0; ci < sweep.chips.size() && sweep.complete;
+             ++ci) {
+            const ChipRef &chip = sweep.chips[ci].chip;
             for (const auto &workload : config.workloads) {
                 for (const CoreId core : config.cores) {
                     PlanEntry entry;
@@ -196,15 +215,15 @@ runSweep(const std::vector<SweepChip> &chips,
                     entry.workload = &workload;
                     entry.core = core;
                     const CellMeasurement *served =
-                        journal
-                            ? journal->find(chip, workload.id(), core)
-                            : nullptr;
+                        sweep.journal ? sweep.journal->find(
+                                            chip, workload.id(), core)
+                                      : nullptr;
                     if (served) {
                         entry.fromJournal = true;
                         stats.cellsFromJournal.inc();
-                    } else if (cache &&
-                               (served = cache->find(
-                                    config_hashes[ci], chip,
+                    } else if (sweep.cache &&
+                               (served = sweep.cache->find(
+                                    sweep.configHashes[ci], chip,
                                     workload.id(), core))) {
                         entry.fromCache = true;
                         stats.cacheHits.inc();
@@ -213,10 +232,10 @@ runSweep(const std::vector<SweepChip> &chips,
                         // Session budget spent; the journal holds
                         // what finished, a later call picks up from
                         // here.
-                        complete = false;
+                        sweep.complete = false;
                         break;
                     } else {
-                        if (cache)
+                        if (sweep.cache)
                             stats.cacheMisses.inc();
                         ++fresh_cells;
                     }
@@ -224,26 +243,34 @@ runSweep(const std::vector<SweepChip> &chips,
                         entry.replayed = *served;
                     plan.push_back(std::move(entry));
                 }
-                if (!complete)
+                if (!sweep.complete)
                     break;
             }
         }
     }
     stats.cellsPlanned.inc(plan.size());
     stats.cellsFresh.inc(static_cast<uint64_t>(fresh_cells));
+}
 
-    // ---- execute: fresh cells fan out across the pool -----------
-    // Each task measures on a brand-new replica of its chip's
-    // prototype, so no cross-cell state (RNG, thermal, SLIMpro,
-    // fault streams) is shared between workers — the determinism
-    // contract. Journal and cache appends happen per completed cell
-    // (write-ahead: a killed process keeps every finished cell), in
-    // completion order, under their own locks. Per-chip progress
-    // counters are registered in canonical chip order before any
-    // worker can touch them.
+/**
+ * Execute: fresh cells fan out across the pool. Each task measures
+ * on a brand-new replica of its chip's prototype, so no cross-cell
+ * state (RNG, thermal, SLIMpro, fault streams) is shared between
+ * workers — the determinism contract. Journal and cache appends
+ * happen per completed cell (write-ahead: a killed process keeps
+ * every finished cell), in completion order, under their own locks.
+ */
+void
+executeFresh(Sweep &sweep)
+{
+    const FrameworkConfig &config = sweep.config;
+    const std::vector<PlanEntry> &plan = sweep.plan;
+    SweepStats &stats = sweep.stats;
+    // Per-chip progress counters are registered in canonical chip
+    // order before any worker can touch them.
     std::vector<obs::Counter *> chip_progress;
-    chip_progress.reserve(chips.size());
-    for (const SweepChip &chip : chips)
+    chip_progress.reserve(sweep.chips.size());
+    for (const SweepChip &chip : sweep.chips)
         chip_progress.push_back(&stats.counter(
             "chip." + chip.chip.name() + ".cells"));
     // Fresh cells' run storage is reserved here, on the planning
@@ -253,113 +280,123 @@ runSweep(const std::vector<SweepChip> &chips,
     // malloc_trim() never shrinks a thread arena's top. Measured on
     // the perfbench predict_rfe workload, that kept ~3.5 MiB per
     // worker resident for the rest of the process.
-    std::vector<CellMeasurement> measured(plan.size());
+    sweep.measured.resize(plan.size());
     for (size_t i = 0; i < plan.size(); ++i) {
         if (!plan[i].fresh())
             continue;
-        const MilliVolt step = chips[plan[i].chipIndex]
+        const MilliVolt step = sweep.chips[plan[i].chipIndex]
                                    .prototype->chip()
                                    .params()
                                    .voltageStepSize;
         const auto levels = static_cast<size_t>(
             (config.startVoltage - config.endVoltage) / step + 1);
-        measured[i].runs.reserve(
+        sweep.measured[i].runs.reserve(
             levels * static_cast<size_t>(config.runsPerVoltage *
                                          config.campaigns));
     }
-    {
-        obs::ScopedSpan executing(stats.executeSpan);
-        util::ThreadPool pool(config.workers);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            if (!plan[i].fresh())
-                continue;
-            pool.submit([&, i] {
-                obs::ScopedSpan cellSpan(stats.cellSpan);
-                const SweepChip &chip = chips[plan[i].chipIndex];
-                auto replica = chip.prototype->freshReplica();
-                CampaignRunner runner(replica.get());
-                CellMeasurement &cell = measured[i];
-                measureCellWith(runner, *plan[i].workload,
-                                plan[i].core, config, cell);
-                cell.chip = chip.chip;
-                if (journal)
-                    journal->append(cell);
-                if (cache)
-                    cache->put(config_hashes[plan[i].chipIndex], cell);
-                stats.cellsMeasured.inc();
-                chip_progress[plan[i].chipIndex]->inc();
-            });
-        }
-        {
-            obs::ScopedSpan barrier(stats.mergeBarrier);
-            pool.wait();
-        }
-        // Merge barrier doubles as the durability barrier: a batched
-        // group-commit policy drains here, so everything measured
-        // this session is on disk before the reports are assembled.
-        if (journal)
-            journal->flush();
-        if (cache)
-            cache->flush();
+    obs::ScopedSpan executing(stats.executeSpan);
+    util::ThreadPool pool(config.workers);
+    for (size_t i = 0; i < plan.size(); ++i) {
+        if (!plan[i].fresh())
+            continue;
+        pool.submit([&, i] {
+            obs::ScopedSpan cellSpan(stats.cellSpan);
+            const SweepChip &chip = sweep.chips[plan[i].chipIndex];
+            auto replica = chip.prototype->freshReplica();
+            CampaignRunner runner(replica.get());
+            CellMeasurement &cell = sweep.measured[i];
+            measureCellWith(runner, *plan[i].workload, plan[i].core,
+                            config, cell);
+            cell.chip = chip.chip;
+            if (sweep.journal)
+                sweep.journal->append(cell);
+            if (sweep.cache)
+                sweep.cache->put(sweep.configHashes[plan[i].chipIndex],
+                                 cell);
+            stats.cellsMeasured.inc();
+            chip_progress[plan[i].chipIndex]->inc();
+        });
     }
+    {
+        obs::ScopedSpan barrier(stats.mergeBarrier);
+        pool.wait();
+    }
+    // Merge barrier doubles as the durability barrier: a batched
+    // group-commit policy drains here, so everything measured this
+    // session is on disk before the reports are assembled.
+    if (sweep.journal)
+        sweep.journal->flush();
+    if (sweep.cache)
+        sweep.cache->flush();
+}
+
+/**
+ * Merge: per chip, in plan order. One LedgerView per chip over that
+ * chip's merged run stream derives every cell's analysis; cells keep
+ * first-seen (= plan, = canonical) order, so each report is
+ * byte-identical for any worker count and chip enumeration order.
+ */
+std::vector<CharacterizationReport>
+mergePerChip(Sweep &sweep)
+{
+    const std::vector<PlanEntry> &plan = sweep.plan;
+    std::vector<CharacterizationReport> reports(sweep.chips.size());
+    obs::ScopedSpan merging(sweep.stats.mergeSpan);
+    size_t i = 0;
+    for (size_t ci = 0; ci < sweep.chips.size(); ++ci) {
+        obs::ScopedSpan chipMerging(sweep.stats.chipMerge);
+        const sim::Chip &chip = sweep.chips[ci].prototype->chip();
+        CharacterizationReport &report = reports[ci];
+        report.chipName = chip.name();
+        report.corner = chip.corner();
+        report.frequency = sweep.config.frequency;
+        report.complete = sweep.complete;
+        LedgerView view(sweep.config.weights);
+        for (; i < plan.size() && plan[i].chipIndex == ci; ++i) {
+            if (plan[i].fromJournal)
+                ++report.telemetry.journalReplays;
+            if (plan[i].fromCache)
+                ++report.telemetry.cacheHits;
+            mergeCellIntoReport(report, view,
+                                plan[i].fresh() ? sweep.measured[i]
+                                                : plan[i].replayed);
+        }
+        report.cells = std::move(view).cellResults();
+    }
+    return reports;
+}
+
+} // namespace
+
+std::vector<CharacterizationReport>
+runSweep(const std::vector<SweepChip> &chips,
+         const FrameworkConfig &config,
+         const std::string &journal_header, ChipRef implicit_chip,
+         const std::string &metric_prefix)
+{
+    // The sink (when enabled) is strictly out-of-band: it reads the
+    // registry at deterministic boundaries and never feeds anything
+    // back into the report. It outlives the journal and cache, so its
+    // destructor's drain comes after they close.
+    std::unique_ptr<obs::TelemetrySink> sink;
+    if (!config.telemetryPath.empty())
+        sink = std::make_unique<obs::TelemetrySink>(
+            config.telemetryPath);
+    Sweep sweep(chips, config, metric_prefix);
+    sweep.stats.chips.inc(chips.size());
+
+    openStores(sweep, journal_header, implicit_chip);
+    planCells(sweep);
+    executeFresh(sweep);
     if (sink)
         sink->flush(); // all execute-phase counters are booked
-
-    // ---- merge: per chip, in plan order --------------------------
-    // One LedgerView per chip over that chip's merged run stream
-    // derives every cell's analysis; cells keep first-seen (= plan,
-    // = canonical) order, so each report is byte-identical for any
-    // worker count and chip enumeration order.
-    std::vector<CharacterizationReport> reports(chips.size());
-    {
-        obs::ScopedSpan merging(stats.mergeSpan);
-        size_t i = 0;
-        for (size_t ci = 0; ci < chips.size(); ++ci) {
-            obs::ScopedSpan chipMerging(stats.chipMerge);
-            CharacterizationReport &report = reports[ci];
-            report.chipName = chips[ci].prototype->chip().name();
-            report.corner = chips[ci].prototype->chip().corner();
-            report.frequency = config.frequency;
-            report.complete = complete;
-            LedgerView view(config.weights);
-            for (; i < plan.size() && plan[i].chipIndex == ci; ++i) {
-                if (plan[i].fromJournal)
-                    ++report.telemetry.journalReplays;
-                if (plan[i].fromCache)
-                    ++report.telemetry.cacheHits;
-                mergeCellIntoReport(report, view,
-                                    plan[i].fresh() ? measured[i]
-                                                    : plan[i].replayed);
-            }
-            report.cells = std::move(view).cellResults();
-        }
-    }
-
+    std::vector<CharacterizationReport> reports = mergePerChip(sweep);
     // The sink's destructor would drain too, but an explicit final
     // flush keeps the line count deterministic (plan+execute line,
     // end-of-run line) before any caller-side snapshots.
     if (sink)
         sink->flush();
     return reports;
-}
-
-CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
-    : prototype_(prototype)
-{
-    if (!prototype_)
-        util::panicf("CampaignExecutor: null platform");
-}
-
-CharacterizationReport
-CampaignExecutor::run(const FrameworkConfig &config)
-{
-    // The platform's chip doubles as the implicit chip a legacy
-    // (pre-chip-dimension) journal's cells are mapped onto.
-    const ChipRef chip = chipRefOf(*prototype_);
-    return std::move(runSweep({{chip, prototype_}}, config,
-                              journalHeaderFor(config, *prototype_),
-                              chip, "executor")
-                         .front());
 }
 
 } // namespace vmargin

@@ -1,8 +1,9 @@
 /**
  * @file
  * The campaign executor: one plan -> execute -> merge sweep core
- * behind both entry points, the single-chip CampaignExecutor and the
- * FleetExecutor (core/fleet).
+ * behind both entry points, the single-chip
+ * CharacterizationFramework::characterize() and the FleetExecutor
+ * (core/fleet).
  *
  * The paper ran its characterization on three X-Gene 2 machines
  * concurrently because full V/F characterization is a multi-day
@@ -63,7 +64,7 @@ struct SweepChip
 };
 
 /**
- * The sweep core both executors run: plan every (chip, workload,
+ * The sweep core both entry points run: plan every (chip, workload,
  * core) cell chip-major under one fresh-cell budget, serve each from
  * the journal, then the cache, else measure it fresh on the shared
  * pool; flush journal and cache at the merge barrier; merge per chip
@@ -82,26 +83,6 @@ runSweep(const std::vector<SweepChip> &chips,
          const FrameworkConfig &config,
          const std::string &journal_header, ChipRef implicit_chip,
          const std::string &metric_prefix);
-
-/**
- * Runs one single-chip characterization sweep: the one-chip case of
- * runSweep(). One instance per characterize() call; the prototype
- * platform is only read (chip identity, fault plan configuration)
- * and replicated — never executed on — so the caller's machine
- * state is untouched.
- */
-class CampaignExecutor
-{
-  public:
-    /** @param prototype machine under test (not owned) */
-    explicit CampaignExecutor(sim::Platform *prototype);
-
-    /** Run the sweep described by @p config (already validated). */
-    CharacterizationReport run(const FrameworkConfig &config);
-
-  private:
-    sim::Platform *prototype_;
-};
 
 } // namespace vmargin
 

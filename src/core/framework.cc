@@ -237,11 +237,17 @@ CharacterizationReport
 CharacterizationFramework::characterize(const FrameworkConfig &config)
 {
     config.validate();
-    // The executor fans the (workload, core) cells out across a
-    // work-stealing pool, one fresh platform replica per in-flight
-    // cell, and merges in canonical order — see core/executor.
-    CampaignExecutor executor(platform_);
-    return executor.run(config);
+    // The one-chip case of the sweep core: the (workload, core) cells
+    // fan out across a work-stealing pool, one fresh platform replica
+    // per in-flight cell, and merge in canonical order — see
+    // core/executor. The platform is only read and replicated, never
+    // executed on; its chip doubles as the implicit chip a legacy
+    // (pre-chip-dimension) journal's cells are mapped onto.
+    const ChipRef chip = chipRefOf(*platform_);
+    return std::move(runSweep({{chip, platform_}}, config,
+                              journalHeaderFor(config, *platform_),
+                              chip, "executor")
+                         .front());
 }
 
 } // namespace vmargin

@@ -801,6 +801,237 @@ RunLedger::flush()
     writer_.flush();
 }
 
+namespace
+{
+
+/**
+ * One RunLedger::open() replay of a loaded file into the ledger's
+ * containers: the binding header check, a cell assembler for run and
+ * commit frames, and the daemon round/checkpoint pairing. Record
+ * frames tolerate corruption (skip) and truncation (stop): the tail a
+ * killed process was writing is re-run, not trusted.
+ */
+struct Replay
+{
+    const std::string &name;
+    const std::string &path;
+    std::vector<RunLedger::Entry> &entries;
+    std::map<std::tuple<Seed, uint64_t, std::string, CoreId>, size_t>
+        &byKey;
+    std::vector<RunLedger::DaemonRoundEntry> &daemonRounds;
+    const ChipRef implicitChip;
+    uint32_t version = kLedgerVersion;
+
+    // Replay telemetry: what the file contained is a pure function of
+    // what previous sessions wrote, so all three are exact-class.
+    obs::Counter &statFrames =
+        obs::Registry::global().counter("ledger.replay_frames");
+    obs::Counter &statSkipped =
+        obs::Registry::global().counter("ledger.replay_skipped");
+    obs::Counter &statTornTails =
+        obs::Registry::global().counter("ledger.torn_tail_truncations");
+
+    // Cell assembly: run frames accumulate into the pending cell until
+    // its commit frame accepts or refuses it.
+    CellMeasurement pending{};
+    bool pendingCorrupt = false;
+
+    // Daemon-round pairing: a round frame awaits its checkpoint frame
+    // (the commit). Any break in the sequence — corruption, a gap, an
+    // out-of-order round — poisons the rest of the daemon stream:
+    // resuming past a hole would continue from a wrong trajectory, so
+    // everything after it is re-run.
+    bool daemonPoisoned = false;
+    bool havePendingRound = false;
+    DaemonRoundRecord pendingRound{};
+
+    void bindHeader(std::string_view payload, uint32_t checksum,
+                    const std::string &app_header,
+                    const std::string &mismatch_hint);
+    bool record(std::string_view payload, uint32_t checksum);
+    void skip(const char *warning, const char *why);
+    void
+    malformed()
+    {
+        skip("malformed record; skipping it", "malformed record");
+    }
+    void poisonDaemon(const char *why);
+    bool commitCell(PayloadReader &reader);
+    void addDaemonRound(PayloadReader &reader);
+    bool addCheckpoint(PayloadReader &reader);
+};
+
+/** The first frame binds the file: framing version and the
+ *  application header must both match. */
+void
+Replay::bindHeader(std::string_view payload, uint32_t checksum,
+                   const std::string &app_header,
+                   const std::string &mismatch_hint)
+{
+    if (ledgerChecksum(payload) != checksum)
+        util::fatalError(name + ": '" + path +
+                         "' has a corrupt header frame");
+    PayloadReader reader(payload);
+    version = reader.u32();
+    if (version < kLedgerMinVersion || version > kLedgerVersion)
+        util::fatalError(name + ": '" + path + "' uses ledger version " +
+                         std::to_string(version) + ", this build reads " +
+                         std::to_string(kLedgerMinVersion) + " through " +
+                         std::to_string(kLedgerVersion) +
+                         "; refusing to mix versions");
+    const std::string header = reader.str();
+    if (!reader.ok())
+        util::fatalError(name + ": '" + path +
+                         "' has a malformed header frame");
+    if (header != app_header)
+        util::fatalError(name + ": '" + path + "' " +
+                         (mismatch_hint.empty()
+                              ? std::string("header mismatch")
+                              : mismatch_hint));
+}
+
+/**
+ * Hand one record frame to its assembler. Decodes straight into the
+ * destination slot through the per-kind readers: the replay hot path
+ * never materializes a LedgerRecord (whose SupervisorCheckpoint
+ * member would cost two vector constructions per frame). Returns true
+ * when the frame ends a committed unit.
+ */
+bool
+Replay::record(std::string_view payload, uint32_t checksum)
+{
+    if (ledgerChecksum(payload) != checksum) {
+        // The cell this record belonged to can no longer prove
+        // integrity; its commit is refused. The daemon stream loses
+        // its sequence guarantee too.
+        skip("frame checksum mismatch; skipping the record",
+             "frame checksum mismatch");
+        return false;
+    }
+    PayloadReader reader(payload);
+    switch (static_cast<LedgerRecord::Kind>(reader.u8())) {
+      case LedgerRecord::Kind::Run:
+        if (!readRunRecord(reader, pending.runs.emplace_back())) {
+            pending.runs.pop_back();
+            malformed();
+        }
+        return false;
+      case LedgerRecord::Kind::DaemonRound:
+        addDaemonRound(reader);
+        return false;
+      case LedgerRecord::Kind::Supervisor:
+        return addCheckpoint(reader);
+      case LedgerRecord::Kind::Commit:
+        return commitCell(reader);
+    }
+    malformed(); // unknown record kind
+    return false;
+}
+
+/** Skip a corrupt or malformed frame: it poisons the pending cell
+ *  and the daemon stream. */
+void
+Replay::skip(const char *warning, const char *why)
+{
+    statSkipped.inc();
+    util::warnf(name, ": '", path, "' ", warning);
+    pendingCorrupt = true;
+    poisonDaemon(why);
+}
+
+void
+Replay::poisonDaemon(const char *why)
+{
+    if (!daemonPoisoned)
+        util::warnf(name, ": '", path, "' ", why,
+                    "; later daemon rounds will be re-run");
+    daemonPoisoned = true;
+    havePendingRound = false;
+}
+
+/**
+ * Commit: accept the pending cell only when intact — the run count
+ * matches, nothing in between was corrupt, and the key is not already
+ * present (first occurrence wins; racing sessions may append the same
+ * cell twice). The unit ends here even when the cell is refused (a
+ * poisoned or duplicate cell is simply re-run); appended frames after
+ * this boundary stand on their own.
+ */
+bool
+Replay::commitCell(PayloadReader &reader)
+{
+    CellCommit commit;
+    if (!readCellCommit(reader, commit, version)) {
+        malformed();
+        return false;
+    }
+    if (version < 2)
+        // Legacy file: every cell belongs to the implicit single chip
+        // the caller supplied.
+        commit.chip = implicitChip;
+    auto key = std::make_tuple(commit.configHash, commit.chip.key(),
+                               commit.workloadId, commit.core);
+    if (!pendingCorrupt && pending.runs.size() == commit.runCount &&
+        !byKey.count(key)) {
+        pending.chip = commit.chip;
+        pending.workloadId = commit.workloadId;
+        pending.core = commit.core;
+        pending.watchdogInterventions = commit.watchdogInterventions;
+        pending.telemetry = commit.telemetry;
+        byKey.emplace(std::move(key), entries.size());
+        entries.push_back(
+            RunLedger::Entry{commit.configHash, std::move(pending)});
+    }
+    pending = CellMeasurement{};
+    pendingCorrupt = false;
+    return true;
+}
+
+void
+Replay::addDaemonRound(PayloadReader &reader)
+{
+    DaemonRoundRecord round;
+    if (!readDaemonRound(reader, round)) {
+        malformed();
+        return;
+    }
+    if (daemonPoisoned)
+        return;
+    if (havePendingRound)
+        poisonDaemon("daemon round without its checkpoint");
+    else if (round.round != static_cast<int>(daemonRounds.size()))
+        poisonDaemon("daemon round out of sequence");
+    else {
+        pendingRound = round;
+        havePendingRound = true;
+    }
+}
+
+/** A checkpoint commits the round it follows. */
+bool
+Replay::addCheckpoint(PayloadReader &reader)
+{
+    SupervisorCheckpoint state;
+    if (!readSupervisorCheckpoint(reader, state)) {
+        malformed();
+        return false;
+    }
+    if (daemonPoisoned)
+        return false;
+    if (!havePendingRound ||
+        state.roundsCompleted !=
+            static_cast<uint32_t>(pendingRound.round) + 1) {
+        poisonDaemon("supervisor checkpoint out of sequence");
+        return false;
+    }
+    daemonRounds.push_back(
+        RunLedger::DaemonRoundEntry{pendingRound, std::move(state)});
+    havePendingRound = false;
+    return true;
+}
+
+} // namespace
+
 void
 RunLedger::open(const std::string &app_header,
                 const std::string &mismatch_hint,
@@ -830,57 +1061,18 @@ RunLedger::open(const std::string &app_header,
 
     // Walk the frames with the zero-copy cursor (payloads are views
     // into the bulk buffer; nothing is copied until a record is
-    // accepted). The header frame is mandatory and versioned;
-    // record frames tolerate corruption (skip) and truncation
-    // (stop): the tail a killed process was writing is re-run, not
-    // trusted.
-    // Replay telemetry: what the file contained is a pure function
-    // of what previous sessions wrote, so all three are exact-class.
-    obs::Counter &statReplayFrames =
-        obs::Registry::global().counter("ledger.replay_frames");
-    obs::Counter &statReplaySkipped =
-        obs::Registry::global().counter("ledger.replay_skipped");
-    obs::Counter &statTornTails = obs::Registry::global().counter(
-        "ledger.torn_tail_truncations");
-
+    // accepted). `committed` is the byte offset one past the last
+    // *committed unit* (header frame, commit frame, accepted
+    // checkpoint). Everything after it — torn frames, but also
+    // complete-but-uncommitted record frames a killed batch left
+    // behind — is the untrusted tail the writer cuts before
+    // appending: run frames dangling without their commit would
+    // otherwise poison the next appended cell's run count on a later
+    // replay.
+    Replay replay{name_, path_, entries_, byKey_, daemonRounds_,
+                  implicit_chip};
     bool saw_header = false;
-    CellMeasurement pending;
-    bool pending_corrupt = false;
-    size_t pending_records = 0;
-
-    // Daemon-round pairing state: a round frame awaits its
-    // checkpoint frame (the commit). Any break in the sequence —
-    // corruption, a gap, an out-of-order round — poisons the rest
-    // of the daemon stream: resuming past a hole would continue
-    // from a wrong trajectory, so everything after it is re-run.
-    bool daemon_poisoned = false;
-    bool have_pending_round = false;
-    DaemonRoundRecord pending_round;
-
-    const auto poisonDaemon = [&](const char *why) {
-        if (!daemon_poisoned)
-            util::warnf(name_, ": '", path_, "' ", why,
-                        "; later daemon rounds will be re-run");
-        daemon_poisoned = true;
-        have_pending_round = false;
-    };
-
-    const auto resetPending = [&]() {
-        pending = CellMeasurement{};
-        pending_corrupt = false;
-        pending_records = 0;
-    };
-    resetPending();
-
-    // Byte offset one past the last *committed unit* (header frame,
-    // commit frame, accepted checkpoint). Everything after it —
-    // torn frames, but also complete-but-uncommitted record frames
-    // a killed batch left behind — is the untrusted tail the writer
-    // cuts before appending: run frames dangling without their
-    // commit would otherwise poison the next appended cell's run
-    // count on a later replay.
     size_t committed = kMagicBytes;
-
     FrameCursor cursor(bytes, kMagicBytes);
     std::string_view payload;
     uint32_t checksum = 0;
@@ -890,180 +1082,25 @@ RunLedger::open(const std::string &app_header,
         if (status == FrameCursor::Status::End)
             break;
         if (status == FrameCursor::Status::Truncated) {
-            statTornTails.inc();
-            if (bytes.size() - cursor.offset() < kFramePrefixBytes)
-                util::warnf(name_, ": '", path_,
-                            "' ends in a truncated frame prefix; "
-                            "discarding the tail");
-            else
-                util::warnf(name_, ": '", path_,
-                            "' ends in a truncated record; "
-                            "discarding the tail");
+            replay.statTornTails.inc();
+            util::warnf(name_, ": '", path_, "' ends in a truncated ",
+                        bytes.size() - cursor.offset() <
+                                kFramePrefixBytes
+                            ? "frame prefix"
+                            : "record",
+                        "; discarding the tail");
             break;
         }
-
-        statReplayFrames.inc();
-
-        if (!saw_header) {
-            // First frame binds the file: framing version and the
-            // application header must both match.
-            if (ledgerChecksum(payload) != checksum)
-                util::fatalError(name_ + ": '" + path_ +
-                                 "' has a corrupt header frame");
-            PayloadReader reader(payload);
-            const uint32_t version = reader.u32();
-            if (version < kLedgerMinVersion ||
-                version > kLedgerVersion)
-                util::fatalError(
-                    name_ + ": '" + path_ + "' uses ledger version " +
-                    std::to_string(version) + ", this build reads " +
-                    std::to_string(kLedgerMinVersion) + " through " +
-                    std::to_string(kLedgerVersion) +
-                    "; refusing to mix versions");
-            fileVersion_ = version;
-            const std::string header = reader.str();
-            if (!reader.ok())
-                util::fatalError(name_ + ": '" + path_ +
-                                 "' has a malformed header frame");
-            if (header != app_header)
-                util::fatalError(name_ + ": '" + path_ + "' " +
-                                 (mismatch_hint.empty()
-                                      ? std::string(
-                                            "header mismatch")
-                                      : mismatch_hint));
-            saw_header = true;
-            committed = cursor.offset();
+        replay.statFrames.inc();
+        if (saw_header) {
+            if (replay.record(payload, checksum))
+                committed = cursor.offset();
             continue;
         }
-
-        if (ledgerChecksum(payload) != checksum) {
-            statReplaySkipped.inc();
-            util::warnf(name_, ": '", path_,
-                        "' frame checksum mismatch; skipping the "
-                        "record");
-            // The cell this record belonged to can no longer prove
-            // integrity; poison it so its commit is refused. The
-            // daemon stream loses its sequence guarantee too.
-            pending_corrupt = true;
-            poisonDaemon("frame checksum mismatch");
-            continue;
-        }
-
-        // Decode straight into the destination slot through the
-        // per-kind readers: the replay hot path never materializes a
-        // LedgerRecord (whose SupervisorCheckpoint member would cost
-        // two vector constructions per frame).
-        const auto markMalformed = [&]() {
-            statReplaySkipped.inc();
-            util::warnf(name_, ": '", path_,
-                        "' malformed record; skipping it");
-            pending_corrupt = true;
-            poisonDaemon("malformed record");
-        };
-        PayloadReader reader(payload);
-        const auto kind =
-            static_cast<LedgerRecord::Kind>(reader.u8());
-
-        if (kind == LedgerRecord::Kind::Run) {
-            RunRecord &run = pending.runs.emplace_back();
-            if (!readRunRecord(reader, run)) {
-                pending.runs.pop_back();
-                markMalformed();
-                continue;
-            }
-            if (pending_records == 0)
-                pending.workloadId = run.key.workloadId;
-            ++pending_records;
-            continue;
-        }
-
-        if (kind == LedgerRecord::Kind::DaemonRound) {
-            DaemonRoundRecord round;
-            if (!readDaemonRound(reader, round)) {
-                markMalformed();
-                continue;
-            }
-            if (daemon_poisoned)
-                continue;
-            if (have_pending_round) {
-                poisonDaemon("daemon round without its checkpoint");
-                continue;
-            }
-            if (round.round !=
-                static_cast<int>(daemonRounds_.size())) {
-                poisonDaemon("daemon round out of sequence");
-                continue;
-            }
-            pending_round = round;
-            have_pending_round = true;
-            continue;
-        }
-
-        if (kind == LedgerRecord::Kind::Supervisor) {
-            SupervisorCheckpoint state;
-            if (!readSupervisorCheckpoint(reader, state)) {
-                markMalformed();
-                continue;
-            }
-            if (daemon_poisoned)
-                continue;
-            if (!have_pending_round ||
-                state.roundsCompleted !=
-                    static_cast<uint32_t>(pending_round.round) + 1) {
-                poisonDaemon(
-                    "supervisor checkpoint out of sequence");
-                continue;
-            }
-            daemonRounds_.push_back(
-                DaemonRoundEntry{pending_round, std::move(state)});
-            have_pending_round = false;
-            committed = cursor.offset();
-            continue;
-        }
-
-        if (kind == LedgerRecord::Kind::Commit) {
-            // Commit: accept the pending cell only when intact —
-            // the run count matches, nothing in between was corrupt,
-            // and the key is not already present (first occurrence
-            // wins; racing sessions may append the same cell twice).
-            CellCommit commit;
-            if (!readCellCommit(reader, commit, fileVersion_)) {
-                markMalformed();
-                continue;
-            }
-            if (fileVersion_ < 2)
-                // Legacy file: every cell belongs to the implicit
-                // single chip the caller supplied.
-                commit.chip = implicitChip_;
-            const bool intact =
-                !pending_corrupt &&
-                pending.runs.size() == commit.runCount;
-            if (intact &&
-                !findLocked(commit.configHash, commit.chip.key(),
-                            commit.workloadId, commit.core)) {
-                pending.chip = commit.chip;
-                pending.workloadId = commit.workloadId;
-                pending.core = commit.core;
-                pending.watchdogInterventions =
-                    commit.watchdogInterventions;
-                pending.telemetry = commit.telemetry;
-                byKey_.emplace(
-                    std::make_tuple(commit.configHash,
-                                    commit.chip.key(),
-                                    commit.workloadId, commit.core),
-                    entries_.size());
-                entries_.push_back(
-                    Entry{commit.configHash, std::move(pending)});
-            }
-            resetPending();
-            // The unit ended here even when the cell was refused (a
-            // poisoned or duplicate cell is simply re-run); appended
-            // frames after this boundary stand on their own.
-            committed = cursor.offset();
-            continue;
-        }
-
-        markMalformed(); // unknown record kind
+        replay.bindHeader(payload, checksum, app_header, mismatch_hint);
+        fileVersion_ = replay.version;
+        saw_header = true;
+        committed = cursor.offset();
     }
     if (!saw_header)
         util::fatalError(name_ + ": '" + path_ +

@@ -416,21 +416,13 @@ class LedgerWriter
     /** Close the handle (drains first). */
     void close();
 
-    bool isOpen() const { return file_ != nullptr; }
-
-    /** Commit units buffered but not yet flushed. */
-    size_t pendingUnits() const { return pendingUnits_; }
-
-    /** Bytes known durably handed to the OS. */
-    uint64_t committedBytes() const { return committedBytes_; }
-
   private:
     std::string path_;
     std::string name_;
     std::FILE *file_ = nullptr;
     std::string pending_;      ///< buffered, unflushed frame bytes
     size_t pendingUnits_ = 0;  ///< commit units inside pending_
-    uint64_t committedBytes_ = 0;
+    uint64_t committedBytes_ = 0; ///< bytes durably handed to the OS
     std::chrono::steady_clock::time_point lastFlush_{};
 
     // Telemetry. Appended bytes/units are a pure function of what

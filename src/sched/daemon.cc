@@ -255,6 +255,28 @@ formatDaemonSummary(const DaemonResult &result)
     return os.str();
 }
 
+void
+DaemonOptions::validate() const
+{
+    retry.validate();
+    if (clampAfterAbnormalRounds < 1)
+        util::fatalError(
+            "daemon: clampAfterAbnormalRounds must be >= 1 (got " +
+            std::to_string(clampAfterAbnormalRounds) + ")");
+    // A negative step would make the degradation clamp lower the
+    // voltage after an abnormal streak — the opposite of its purpose.
+    if (clampStepMv < 0)
+        util::fatalError("daemon: clampStepMv must be >= 0 (got " +
+                         std::to_string(clampStepMv) + ")");
+    if (roundBudget < 0)
+        util::fatalError("daemon: roundBudget must be >= 0 (got " +
+                         std::to_string(roundBudget) + ")");
+    if (flushEveryRounds < 1)
+        util::fatalError(
+            "daemon: flushEveryRounds must be >= 1 (got " +
+            std::to_string(flushEveryRounds) + ")");
+}
+
 GovernorDaemon::GovernorDaemon(sim::Platform *platform,
                                VoltageGovernor governor)
     : platform_(platform), governor_(std::move(governor)),
@@ -281,6 +303,393 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
     return run(placements, rounds, seed, options);
 }
 
+namespace
+{
+
+/**
+ * Round telemetry. The daemon loop is single-threaded and every round
+ * is a pure function of (seed, round), so all of these are
+ * exact-class; only the round *duration* is scheduling-bound.
+ */
+struct RoundStats
+{
+    obs::Registry &reg = obs::Registry::global();
+    obs::Counter &roundsServed = reg.counter("daemon.rounds_served");
+    obs::Counter &roundsReplayed =
+        reg.counter("daemon.rounds_replayed");
+    obs::Counter &fallbacks = reg.counter("daemon.nominal_fallbacks");
+    obs::Counter &reexecutions = reg.counter("daemon.reexecutions");
+    obs::SpanStat &roundSpan = reg.span("daemon.round");
+};
+
+/**
+ * One GovernorDaemon::run() call: the daemon's machine parts, the
+ * session's arguments, and the state its phases hand each other —
+ * resume from the journal checkpoint, serve each round, checkpoint
+ * it, aggregate the result.
+ */
+struct Session
+{
+    sim::Platform &platform;
+    const VoltageGovernor &governor;
+    sim::SlimPro &slimpro;
+    const sim::Watchdog &watchdog;
+    ManagedSlimPro &managed;
+    const std::vector<Placement> &placements;
+    const int rounds;
+    const Seed seed;
+    const DaemonOptions &options;
+
+    RoundStats stats{};
+    std::unique_ptr<obs::TelemetrySink> sink{};
+    std::optional<MarginSupervisor> supervisor{};
+    std::vector<CoreObservation> observations{};
+    const power::EnergyAccountant accountant{
+        power::PowerModel{}, platform.chip().variation(), 950};
+    std::optional<DaemonJournal> journal{};
+    DaemonResult result{};
+
+    // Session-start watchdog and recovery counters; the session's own
+    // share is the difference at any later point.
+    const uint64_t resetsBefore = watchdog.interventions();
+    const RecoveryTelemetry telemetryBefore = managed.telemetry();
+    // Legacy graceful-degradation clamp and its abnormal streak.
+    MilliVolt clamp = 0;
+    int consecutiveAbnormal = 0;
+    int startRound = 0;
+    // Cumulative counters carried over from journaled sessions; the
+    // final result reports journal-cumulative totals, so a resumed
+    // session's report equals the uninterrupted one's.
+    uint64_t baseResets = 0;
+    RecoveryTelemetry baseTelemetry{};
+
+    void start(const std::map<std::string, WorkloadCounters> &profiles);
+    void resumeFromJournal();
+    void serveRound(int round);
+    void setRoundVoltage(const RoundPlan &rp, RoundRecord &record);
+    CoreRoundEvents runTask(const Placement &placement, int round,
+                            RoundRecord &record);
+    SupervisorCheckpoint checkpoint(int round) const;
+    void aggregate();
+};
+
+/** Telemetry sink, supervisor and the fixed per-placement
+ *  observations (profiles collected at nominal conditions, like the
+ *  paper's offline profiling). */
+void
+Session::start(const std::map<std::string, WorkloadCounters> &profiles)
+{
+    if (!options.telemetryPath.empty())
+        sink = std::make_unique<obs::TelemetrySink>(
+            options.telemetryPath);
+    if (options.supervise) {
+        supervisor.emplace(options.supervisor);
+        for (const auto &placement : placements)
+            supervisor->track(placement.core);
+    }
+    for (const auto &placement : placements) {
+        CoreObservation obs;
+        obs.core = placement.core;
+        const WorkloadCounters &profile =
+            profiles.at(placement.workloadId);
+        for (size_t e = 0; e < sim::kNumPmuEvents; ++e)
+            obs.counterFeatures.push_back(
+                profile.perKilo(static_cast<sim::PmuEvent>(e)));
+        observations.push_back(std::move(obs));
+    }
+}
+
+/**
+ * Open the journal and replay its committed rounds verbatim. On a
+ * resume, restore the last checkpoint's complete posture — the
+ * supervisor's learned state plus every piece of daemon and platform
+ * state a future round's outcome depends on (legacy clamp,
+ * stale-sensor cache, machine responsiveness, cumulative counters).
+ */
+void
+Session::resumeFromJournal()
+{
+    LedgerWriteOptions write_options;
+    write_options.flushEveryCells = options.flushEveryRounds;
+    journal.emplace(options.journalPath, write_options);
+    journal->open(daemonJournalHeader(platform, governor.config(),
+                                      placements, rounds, seed,
+                                      options));
+    for (const auto &entry : journal->rounds())
+        result.rounds.push_back(entry.round);
+    if (journal->rounds().empty())
+        return;
+    const SupervisorCheckpoint &ck = journal->rounds().back().state;
+    startRound = static_cast<int>(ck.roundsCompleted);
+    clamp = ck.legacyClampMv;
+    consecutiveAbnormal = static_cast<int>(ck.legacyStreak);
+    baseResets = ck.watchdogResets;
+    baseTelemetry = ck.telemetry;
+    sim::SlimPro::SensorCache cache;
+    cache.hasTemperature = ck.hasSensorSample;
+    cache.temperature = ck.sensorSample;
+    slimpro.restoreSensorCache(cache);
+    if (supervisor)
+        supervisor->restore(ck);
+    if (!ck.machineResponsive)
+        platform.powerOff();
+    else if (!platform.responsive())
+        platform.powerCycle();
+    result.replayedRounds = journal->rounds().size();
+    stats.roundsReplayed.inc(result.replayedRounds);
+}
+
+/**
+ * Serve one round: plan, revive, settle, set the voltage, run the
+ * tasks, observe, then commit the round with its checkpoint.
+ */
+void
+Session::serveRound(int round)
+{
+    stats.roundsServed.inc();
+    obs::ScopedSpan roundSpan(stats.roundSpan);
+
+    // Every round draws faults from its own (seed, round) sub-stream
+    // — see roundFaultScope.
+    if (sim::FaultPlan *plan = platform.faultPlan())
+        plan->scopeTo(
+            roundFaultScope(seed, static_cast<uint64_t>(round)));
+
+    RoundPlan rp;
+    if (supervisor)
+        rp = supervisor->planRound();
+
+    const bool alive = managed.revive(
+        rp.canary ? sim::WatchdogContext::CanaryProbe
+                  : sim::WatchdogContext::DaemonRoundStart);
+    if (!alive && supervisor) {
+        // The whole watchdog poll budget passed without a successful
+        // power cycle: the machine is beyond this session's recovery
+        // means. Clamp and re-plan.
+        supervisor->escalate(ClampReason::WatchdogExhausted);
+        rp = supervisor->planRound();
+    }
+
+    // Canonical round-start state: with per-round fault scoping
+    // above, this makes the round a pure function of (seed, round) —
+    // see Platform::settleForRound.
+    platform.settleForRound();
+
+    RoundRecord record;
+    record.round = round;
+    record.guardSteps = rp.guardSteps;
+    record.canaryProbe = rp.canary;
+    record.safePinned = !rp.undervolt;
+    setRoundVoltage(rp, record);
+
+    std::vector<CoreRoundEvents> events;
+    events.reserve(placements.size());
+    for (const auto &placement : placements)
+        events.push_back(runTask(placement, round, record));
+
+    // Safe data collection: back to nominal between rounds.
+    if (platform.responsive())
+        managed.setPmdVoltage(options.safeVoltage);
+
+    if (supervisor)
+        supervisor->observeRound(record, events);
+
+    result.rounds.push_back(record);
+
+    // Graceful degradation: a streak of bad rounds means the governor
+    // is undervolting past what this machine tolerates right now —
+    // ratchet its decisions upward and keep serving.
+    if (record.anyAbnormal || record.crashed) {
+        if (++consecutiveAbnormal >= options.clampAfterAbnormalRounds) {
+            clamp += options.clampStepMv;
+            consecutiveAbnormal = 0;
+        }
+    } else {
+        consecutiveAbnormal = 0;
+    }
+
+    // The checkpoint frame is the round's commit: round and
+    // checkpoint land in one flushed write, so a kill at any instant
+    // leaves either a fully committed round or a discardable tail.
+    if (journal)
+        journal->append(record, checkpoint(round));
+    if (sink)
+        sink->maybeFlush(1000); // periodic, time-gated
+}
+
+/** Apply the round's setpoint; on an exhausted retry budget, degrade
+ *  to the safe voltage instead of dying. */
+void
+Session::setRoundVoltage(const RoundPlan &rp, RoundRecord &record)
+{
+    MilliVolt target = options.safeVoltage;
+    if (rp.undervolt) {
+        const MilliVolt decision = governor.decide(observations);
+        target = std::min(
+            options.safeVoltage,
+            static_cast<MilliVolt>(decision + clamp +
+                                   rp.guardSteps *
+                                       governor.config().step));
+    }
+    record.voltage = target;
+    if (!managed.setPmdVoltage(target)) {
+        // A power cycle inside the retries already reset to nominal;
+        // try the explicit setpoint anyway for the clean-failure case.
+        managed.setPmdVoltage(options.safeVoltage);
+        record.voltage = options.safeVoltage;
+        record.nominalFallback = true;
+        record.fallbackReason = static_cast<uint8_t>(
+            platform.responsive() ? FallbackReason::RetriesExhausted
+                                  : FallbackReason::MachineUnresponsive);
+        stats.fallbacks.inc();
+    }
+}
+
+/** Run one placed task at the round's voltage, account its energy
+ *  into @p record and, on an SDC, re-execute it at the safe voltage
+ *  (section 4.4) when the options ask for it. */
+CoreRoundEvents
+Session::runTask(const Placement &placement, int round,
+                 RoundRecord &record)
+{
+    CoreRoundEvents ev;
+    ev.core = placement.core;
+    if (!platform.responsive()) {
+        // An earlier task of this round took the machine down; the
+        // remaining tasks simply did not run.
+        return ev;
+    }
+    ev.ran = true;
+    const auto workload = wl::findWorkload(placement.workloadId);
+    sim::ExecutionConfig exec;
+    exec.maxEpochs = options.maxEpochs;
+    const Seed run_seed = util::mixSeed(
+        util::mixSeed(seed, static_cast<uint64_t>(round)),
+        static_cast<uint64_t>(placement.core));
+    const sim::RunResult run =
+        platform.runWorkload(placement.core, workload, run_seed, exec);
+
+    // Read through the SLIMpro sensor path (a stale read fault
+    // returns the previous sample, like real I2C).
+    const Celsius temp = slimpro.readTemperature();
+    record.energyJoule +=
+        accountant.runEnergy(placement.core, run, temp).total();
+    record.nominalJoule +=
+        accountant
+            .scaledEnergy(placement.core, run, 980, run.frequency, temp)
+            .total();
+    record.anyAbnormal = record.anyAbnormal || run.abnormal();
+    record.crashed = record.crashed || run.systemCrashed;
+    ev.correctedErrors = run.correctedErrors;
+    ev.uncorrectedErrors = run.uncorrectedErrors;
+    ev.sdc = run.completed && !run.outputMatches;
+    ev.crashed = run.systemCrashed || run.applicationCrashed;
+
+    // Section 4.4 recovery: an output mismatch triggers re-execution
+    // at the safe voltage; correctness is preserved at the price of
+    // the recovery energy.
+    if (options.reexecuteOnSdc && ev.sdc && platform.responsive()) {
+        managed.setPmdVoltage(options.safeVoltage);
+        const sim::RunResult redo = platform.runWorkload(
+            placement.core, workload,
+            util::mixSeed(run_seed, 0x5AFEULL), exec);
+        record.energyJoule +=
+            accountant.runEnergy(placement.core, redo, temp).total();
+        ++record.reexecutions;
+        stats.reexecutions.inc();
+        // Back to the round's operating point for the remaining tasks.
+        if (platform.responsive())
+            managed.setPmdVoltage(record.voltage);
+    }
+    return ev;
+}
+
+/** The complete posture after @p round: what a resumed session
+ *  restores to continue exactly here. */
+SupervisorCheckpoint
+Session::checkpoint(int round) const
+{
+    SupervisorCheckpoint ck;
+    if (supervisor)
+        supervisor->checkpoint(ck);
+    ck.roundsCompleted = static_cast<uint32_t>(round + 1);
+    ck.legacyClampMv = clamp;
+    ck.legacyStreak = static_cast<uint32_t>(consecutiveAbnormal);
+    ck.watchdogResets =
+        baseResets + (watchdog.interventions() - resetsBefore);
+    ck.machineResponsive = platform.responsive();
+    const sim::SlimPro::SensorCache cache = slimpro.sensorCache();
+    ck.hasSensorSample = cache.hasTemperature;
+    ck.sensorSample = cache.temperature;
+    ck.telemetry = baseTelemetry;
+    ck.telemetry.merge(managed.telemetry().since(telemetryBefore));
+    return ck;
+}
+
+/**
+ * Aggregates, recomputed uniformly over replayed + fresh rounds:
+ * replayed doubles are bit-exact from the journal, so the totals
+ * equal the uninterrupted session's. Then the supervisor's posture.
+ */
+void
+Session::aggregate()
+{
+    double voltage_sum = 0.0;
+    double total_energy = 0.0;
+    double total_nominal = 0.0;
+    for (const auto &round : result.rounds) {
+        voltage_sum += static_cast<double>(round.voltage);
+        total_energy += round.energyJoule;
+        total_nominal += round.nominalJoule;
+        result.abnormalRounds += round.anyAbnormal ? 1 : 0;
+        result.crashes += round.crashed ? 1 : 0;
+        result.reexecutions += static_cast<uint64_t>(round.reexecutions);
+        result.fallbackRounds += round.nominalFallback ? 1 : 0;
+        switch (static_cast<FallbackReason>(round.fallbackReason)) {
+        case FallbackReason::RetriesExhausted:
+            ++result.fallbackRetriesExhausted;
+            break;
+        case FallbackReason::MachineUnresponsive:
+            ++result.fallbackMachineUnresponsive;
+            break;
+        case FallbackReason::None:
+            break;
+        }
+    }
+    result.watchdogResets =
+        baseResets + (watchdog.interventions() - resetsBefore);
+    result.governorClampMv = clamp;
+    result.telemetry = baseTelemetry;
+    result.telemetry.merge(managed.telemetry().since(telemetryBefore));
+    result.telemetry.fallbackRounds = result.fallbackRounds;
+    result.telemetry.journalReplays = result.replayedRounds;
+    result.averageVoltage =
+        result.rounds.empty()
+            ? static_cast<double>(options.safeVoltage)
+            : voltage_sum / static_cast<double>(result.rounds.size());
+    result.energySavingsPercent =
+        total_nominal > 0.0 ? 100.0 * (1.0 - total_energy / total_nominal)
+                            : 0.0;
+
+    if (!supervisor)
+        return;
+    SupervisorReport &report = result.supervisor;
+    report.enabled = true;
+    report.guardSteps = supervisor->guardSteps();
+    report.peakGuardSteps = supervisor->peakGuardSteps();
+    report.clampReason = supervisor->clampReason();
+    report.backoffEvents = supervisor->backoffEvents();
+    report.narrowEvents = supervisor->narrowEvents();
+    report.quarantines = supervisor->quarantineEvents();
+    report.readmissions = supervisor->readmissionEvents();
+    report.canaryRounds = supervisor->canaryRounds();
+    report.canaryFailures = supervisor->canaryFailures();
+    report.pinnedRounds = supervisor->pinnedRounds();
+    report.quarantinedCores = supervisor->quarantinedCores();
+}
+
+} // namespace
+
 DaemonResult
 GovernorDaemon::run(const std::vector<Placement> &placements,
                     int rounds, Seed seed,
@@ -296,389 +705,48 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
         if (!profiles_.count(placement.workloadId))
             util::fatalError("daemon: no registered profile for '" +
                              placement.workloadId + "'");
-    options.retry.validate();
+    options.validate();
     governor_.config().validate();
-    if (options.clampAfterAbnormalRounds < 1)
-        util::fatalError(
-            "daemon: clampAfterAbnormalRounds must be >= 1");
-    if (options.roundBudget < 0)
-        util::fatalError("daemon: roundBudget must be >= 0 (got " +
-                         std::to_string(options.roundBudget) + ")");
-    if (options.flushEveryRounds < 1)
-        util::fatalError(
-            "daemon: flushEveryRounds must be >= 1 (got " +
-            std::to_string(options.flushEveryRounds) + ")");
-
     managed_.setPolicy(options.retry);
 
-    // Round telemetry. The daemon loop is single-threaded and every
-    // round is a pure function of (seed, round), so all of these are
-    // exact-class; only the round *duration* is scheduling-bound.
-    obs::Registry &reg = obs::Registry::global();
-    obs::Counter &statRoundsServed =
-        reg.counter("daemon.rounds_served");
-    obs::Counter &statRoundsReplayed =
-        reg.counter("daemon.rounds_replayed");
-    obs::Counter &statFallbacks =
-        reg.counter("daemon.nominal_fallbacks");
-    obs::Counter &statReexecutions =
-        reg.counter("daemon.reexecutions");
-    obs::SpanStat &statRoundSpan = reg.span("daemon.round");
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!options.telemetryPath.empty())
-        sink = std::make_unique<obs::TelemetrySink>(
-            options.telemetryPath);
+    Session session{*platform_, governor_, slimpro_, watchdog_,
+                    managed_, placements, rounds, seed, options};
+    session.start(profiles_);
+    if (!options.journalPath.empty())
+        session.resumeFromJournal();
 
-    std::optional<MarginSupervisor> supervisor;
-    if (options.supervise) {
-        supervisor.emplace(options.supervisor);
-        for (const auto &placement : placements)
-            supervisor->track(placement.core);
-    }
-
-    // Observations are fixed per placement (profiles collected at
-    // nominal conditions, like the paper's offline profiling).
-    std::vector<CoreObservation> observations;
-    for (const auto &placement : placements) {
-        CoreObservation obs;
-        obs.core = placement.core;
-        const WorkloadCounters &profile =
-            profiles_.at(placement.workloadId);
-        for (size_t e = 0; e < sim::kNumPmuEvents; ++e)
-            obs.counterFeatures.push_back(profile.perKilo(
-                static_cast<sim::PmuEvent>(e)));
-        observations.push_back(std::move(obs));
-    }
-
-    const power::EnergyAccountant accountant(
-        power::PowerModel{}, platform_->chip().variation(), 950);
-
-    DaemonResult result;
-    const uint64_t resets_before = watchdog_.interventions();
-    const RecoveryTelemetry telemetry_before = managed_.telemetry();
-    MilliVolt clamp = 0;
-    int consecutive_abnormal = 0;
-    int start_round = 0;
-    // Cumulative counters carried over from journaled sessions; the
-    // final result reports journal-cumulative totals, so a resumed
-    // session's report equals the uninterrupted one's.
-    uint64_t base_resets = 0;
-    RecoveryTelemetry base_telemetry;
-
-    std::optional<DaemonJournal> journal;
-    if (!options.journalPath.empty()) {
-        LedgerWriteOptions write_options;
-        write_options.flushEveryCells = options.flushEveryRounds;
-        journal.emplace(options.journalPath, write_options);
-        journal->open(daemonJournalHeader(*platform_,
-                                          governor_.config(),
-                                          placements, rounds, seed,
-                                          options));
-        for (const auto &entry : journal->rounds())
-            result.rounds.push_back(entry.round);
-        if (!journal->rounds().empty()) {
-            // Resume: replay the committed rounds verbatim and
-            // restore the last checkpoint's complete posture — the
-            // supervisor's learned state plus every piece of daemon
-            // and platform state a future round's outcome depends
-            // on (legacy clamp, stale-sensor cache, machine
-            // responsiveness, cumulative counters).
-            const SupervisorCheckpoint &ck =
-                journal->rounds().back().state;
-            start_round = static_cast<int>(ck.roundsCompleted);
-            clamp = ck.legacyClampMv;
-            consecutive_abnormal =
-                static_cast<int>(ck.legacyStreak);
-            base_resets = ck.watchdogResets;
-            base_telemetry = ck.telemetry;
-            sim::SlimPro::SensorCache cache;
-            cache.hasTemperature = ck.hasSensorSample;
-            cache.temperature = ck.sensorSample;
-            slimpro_.restoreSensorCache(cache);
-            if (supervisor)
-                supervisor->restore(ck);
-            if (!ck.machineResponsive)
-                platform_->powerOff();
-            else if (!platform_->responsive())
-                platform_->powerCycle();
-            result.replayedRounds = journal->rounds().size();
-            statRoundsReplayed.inc(result.replayedRounds);
-        }
-    }
-
-    sim::FaultPlan *plan = platform_->faultPlan();
-    int fresh_served = 0;
-
-    for (int round = start_round; round < rounds; ++round) {
+    for (int round = session.startRound; round < rounds; ++round) {
         if (options.roundBudget > 0 &&
-            fresh_served >= options.roundBudget) {
-            // Simulated kill: stop mid-session. Every served round
-            // is already committed to the journal, so the next
-            // session continues from exactly here.
-            result.complete = false;
+            round - session.startRound >= options.roundBudget) {
+            // Simulated kill: stop mid-session. Every served round is
+            // already committed to the journal, so the next session
+            // continues from exactly here.
+            session.result.complete = false;
             break;
         }
-        ++fresh_served;
-        statRoundsServed.inc();
-        obs::ScopedSpan roundSpan(statRoundSpan);
-
-        // Every round draws faults from its own (seed, round)
-        // sub-stream — see roundFaultScope.
-        if (plan)
-            plan->scopeTo(roundFaultScope(
-                seed, static_cast<uint64_t>(round)));
-
-        RoundPlan rp;
-        if (supervisor)
-            rp = supervisor->planRound();
-
-        const bool alive = managed_.revive(
-            rp.canary ? sim::WatchdogContext::CanaryProbe
-                      : sim::WatchdogContext::DaemonRoundStart);
-        if (!alive && supervisor) {
-            // The whole watchdog poll budget passed without a
-            // successful power cycle: the machine is beyond this
-            // session's recovery means. Clamp and re-plan.
-            supervisor->escalate(ClampReason::WatchdogExhausted);
-            rp = supervisor->planRound();
-        }
-
-        // Canonical round-start state: with per-round fault scoping
-        // above, this makes the round a pure function of
-        // (seed, round) — see Platform::settleForRound.
-        platform_->settleForRound();
-
-        RoundRecord record;
-        record.round = round;
-        record.guardSteps = rp.guardSteps;
-        record.canaryProbe = rp.canary;
-        record.safePinned = !rp.undervolt;
-
-        MilliVolt target = options.safeVoltage;
-        if (rp.undervolt) {
-            const MilliVolt decision = governor_.decide(observations);
-            target = std::min(
-                options.safeVoltage,
-                static_cast<MilliVolt>(
-                    decision + clamp +
-                    rp.guardSteps * governor_.config().step));
-        }
-        record.voltage = target;
-        if (!managed_.setPmdVoltage(target)) {
-            // Retry budget exhausted: degrade instead of dying —
-            // serve this round at the safe voltage (a power cycle
-            // inside the retries already reset to nominal; try the
-            // explicit setpoint anyway for the clean-failure case).
-            managed_.setPmdVoltage(options.safeVoltage);
-            record.voltage = options.safeVoltage;
-            record.nominalFallback = true;
-            record.fallbackReason = static_cast<uint8_t>(
-                platform_->responsive()
-                    ? FallbackReason::RetriesExhausted
-                    : FallbackReason::MachineUnresponsive);
-            statFallbacks.inc();
-        }
-
-        std::vector<CoreRoundEvents> events;
-        events.reserve(placements.size());
-        for (const auto &placement : placements) {
-            CoreRoundEvents ev;
-            ev.core = placement.core;
-            if (!platform_->responsive()) {
-                // An earlier task of this round took the machine
-                // down; the remaining tasks simply did not run.
-                events.push_back(ev);
-                continue;
-            }
-            ev.ran = true;
-            const auto workload =
-                wl::findWorkload(placement.workloadId);
-            sim::ExecutionConfig exec;
-            exec.maxEpochs = options.maxEpochs;
-            const Seed run_seed = util::mixSeed(
-                util::mixSeed(seed,
-                              static_cast<uint64_t>(round)),
-                static_cast<uint64_t>(placement.core));
-            const sim::RunResult run = platform_->runWorkload(
-                placement.core, workload, run_seed, exec);
-
-            // Read through the SLIMpro sensor path (a stale read
-            // fault returns the previous sample, like real I2C).
-            const Celsius temp = slimpro_.readTemperature();
-            record.energyJoule +=
-                accountant.runEnergy(placement.core, run, temp)
-                    .total();
-            record.nominalJoule +=
-                accountant
-                    .scaledEnergy(placement.core, run, 980,
-                                  run.frequency, temp)
-                    .total();
-            record.anyAbnormal =
-                record.anyAbnormal || run.abnormal();
-            record.crashed = record.crashed || run.systemCrashed;
-            ev.correctedErrors = run.correctedErrors;
-            ev.uncorrectedErrors = run.uncorrectedErrors;
-            ev.sdc = run.completed && !run.outputMatches;
-            ev.crashed =
-                run.systemCrashed || run.applicationCrashed;
-            events.push_back(ev);
-
-            // Section 4.4 recovery: an output mismatch triggers
-            // re-execution at the safe voltage; correctness is
-            // preserved at the price of the recovery energy.
-            if (options.reexecuteOnSdc && run.completed &&
-                !run.outputMatches && platform_->responsive()) {
-                managed_.setPmdVoltage(options.safeVoltage);
-                const sim::RunResult redo = platform_->runWorkload(
-                    placement.core, workload,
-                    util::mixSeed(run_seed, 0x5AFEULL), exec);
-                record.energyJoule +=
-                    accountant
-                        .runEnergy(placement.core, redo, temp)
-                        .total();
-                ++record.reexecutions;
-                statReexecutions.inc();
-                // Back to the round's operating point for the
-                // remaining tasks.
-                if (platform_->responsive())
-                    managed_.setPmdVoltage(record.voltage);
-            }
-        }
-
-        // Safe data collection: back to nominal between rounds.
-        if (platform_->responsive())
-            managed_.setPmdVoltage(options.safeVoltage);
-
-        if (supervisor)
-            supervisor->observeRound(record, events);
-
-        result.rounds.push_back(record);
-
-        // Graceful degradation: a streak of bad rounds means the
-        // governor is undervolting past what this machine tolerates
-        // right now — ratchet its decisions upward and keep serving.
-        if (record.anyAbnormal || record.crashed) {
-            if (++consecutive_abnormal >=
-                options.clampAfterAbnormalRounds) {
-                clamp += options.clampStepMv;
-                consecutive_abnormal = 0;
-            }
-        } else {
-            consecutive_abnormal = 0;
-        }
-
-        if (journal) {
-            // The checkpoint frame is the round's commit: round and
-            // checkpoint land in one flushed write, so a kill at any
-            // instant leaves either a fully committed round or a
-            // discardable tail.
-            SupervisorCheckpoint ck;
-            if (supervisor)
-                supervisor->checkpoint(ck);
-            ck.roundsCompleted = static_cast<uint32_t>(round + 1);
-            ck.legacyClampMv = clamp;
-            ck.legacyStreak =
-                static_cast<uint32_t>(consecutive_abnormal);
-            ck.watchdogResets =
-                base_resets +
-                (watchdog_.interventions() - resets_before);
-            ck.machineResponsive = platform_->responsive();
-            const sim::SlimPro::SensorCache cache =
-                slimpro_.sensorCache();
-            ck.hasSensorSample = cache.hasTemperature;
-            ck.sensorSample = cache.temperature;
-            ck.telemetry = base_telemetry;
-            ck.telemetry.merge(
-                managed_.telemetry().since(telemetry_before));
-            journal->append(record, ck);
-        }
-        if (sink)
-            sink->maybeFlush(1000); // periodic, time-gated
+        session.serveRound(round);
     }
 
     // Session durability barrier: a batched flushEveryRounds policy
     // drains here, so run() never returns with served rounds only in
     // the writer's buffer.
-    if (journal)
-        journal->flush();
+    if (session.journal)
+        session.journal->flush();
 
-    if (result.complete) {
-        // The end-of-session revive draws from its own sub-stream
-        // (one past the last round), so a fully-replayed resume
-        // performs it identically to the uninterrupted session.
-        if (plan)
-            plan->scopeTo(roundFaultScope(
-                seed, static_cast<uint64_t>(rounds)));
+    if (session.result.complete) {
+        // The end-of-session revive draws from its own sub-stream (one
+        // past the last round), so a fully-replayed resume performs it
+        // identically to the uninterrupted session.
+        if (sim::FaultPlan *plan = platform_->faultPlan())
+            plan->scopeTo(
+                roundFaultScope(seed, static_cast<uint64_t>(rounds)));
         managed_.revive(sim::WatchdogContext::DaemonEnd);
     }
 
-    // Aggregates are recomputed uniformly over replayed + fresh
-    // rounds; replayed doubles are bit-exact from the journal, so
-    // the totals equal the uninterrupted session's.
-    double voltage_sum = 0.0;
-    double total_energy = 0.0;
-    double total_nominal = 0.0;
-    for (const auto &round : result.rounds) {
-        voltage_sum += static_cast<double>(round.voltage);
-        total_energy += round.energyJoule;
-        total_nominal += round.nominalJoule;
-        result.abnormalRounds += round.anyAbnormal ? 1 : 0;
-        result.crashes += round.crashed ? 1 : 0;
-        result.reexecutions +=
-            static_cast<uint64_t>(round.reexecutions);
-        result.fallbackRounds += round.nominalFallback ? 1 : 0;
-        switch (static_cast<FallbackReason>(round.fallbackReason)) {
-        case FallbackReason::RetriesExhausted:
-            ++result.fallbackRetriesExhausted;
-            break;
-        case FallbackReason::MachineUnresponsive:
-            ++result.fallbackMachineUnresponsive;
-            break;
-        case FallbackReason::None:
-            break;
-        }
-    }
-    result.watchdogResets =
-        base_resets + (watchdog_.interventions() - resets_before);
-    result.governorClampMv = clamp;
-    result.telemetry = base_telemetry;
-    result.telemetry.merge(
-        managed_.telemetry().since(telemetry_before));
-    result.telemetry.fallbackRounds = result.fallbackRounds;
-    result.telemetry.journalReplays = result.replayedRounds;
-    result.averageVoltage =
-        result.rounds.empty()
-            ? static_cast<double>(options.safeVoltage)
-            : voltage_sum /
-                  static_cast<double>(result.rounds.size());
-    result.energySavingsPercent =
-        total_nominal > 0.0
-            ? 100.0 * (1.0 - total_energy / total_nominal)
-            : 0.0;
-
-    if (supervisor) {
-        result.supervisor.enabled = true;
-        result.supervisor.guardSteps = supervisor->guardSteps();
-        result.supervisor.peakGuardSteps =
-            supervisor->peakGuardSteps();
-        result.supervisor.clampReason = supervisor->clampReason();
-        result.supervisor.backoffEvents =
-            supervisor->backoffEvents();
-        result.supervisor.narrowEvents = supervisor->narrowEvents();
-        result.supervisor.quarantines =
-            supervisor->quarantineEvents();
-        result.supervisor.readmissions =
-            supervisor->readmissionEvents();
-        result.supervisor.canaryRounds = supervisor->canaryRounds();
-        result.supervisor.canaryFailures =
-            supervisor->canaryFailures();
-        result.supervisor.pinnedRounds = supervisor->pinnedRounds();
-        result.supervisor.quarantinedCores =
-            supervisor->quarantinedCores();
-    }
-    if (sink)
-        sink->flush(); // end-of-run drain
-    return result;
+    session.aggregate();
+    if (session.sink)
+        session.sink->flush(); // end-of-run drain
+    return std::move(session.result);
 }
 
 } // namespace vmargin::sched

@@ -121,6 +121,11 @@ struct DaemonOptions
      * and excluded from the journal binding header.
      */
     std::string telemetryPath;
+
+    /** Fatal, naming the bad value, on options run() cannot operate
+     *  with — including a negative clampStepMv, which would lower the
+     *  voltage after an abnormal streak. */
+    void validate() const;
 };
 
 /** Supervisor outcome summary inside a daemon result. */

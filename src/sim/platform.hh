@@ -85,9 +85,6 @@ class Platform
      */
     void settleForRound();
 
-    /** Front panel: reset button (same recovery effect here). */
-    void pressReset() { powerCycle(); }
-
     /** Cut power without rebooting. */
     void powerOff();
 

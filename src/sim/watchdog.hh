@@ -48,12 +48,6 @@ enum class WatchdogOutcome : uint8_t
     MissedCycle, ///< intervention needed but missed (injected fault)
 };
 
-/** Printable context name. */
-const char *watchdogContextName(WatchdogContext context);
-
-/** Printable outcome name. */
-const char *watchdogOutcomeName(WatchdogOutcome outcome);
-
 /** One watchdog intervention (or missed intervention). */
 struct WatchdogEvent
 {

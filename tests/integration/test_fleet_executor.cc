@@ -3,10 +3,10 @@
  * Fleet determinism suite: the three-chip fleet report must be
  * byte-identical for any worker count AND any chip enumeration
  * order, a single-chip fleet must reproduce the lone
- * CampaignExecutor's report byte for byte, and a budget-chopped
- * fleet sweep resumed through the shared journal — under a hostile
- * management-plane fault plan — must reassemble the single-shot
- * report exactly.
+ * CharacterizationFramework::characterize() report byte for byte,
+ * and a budget-chopped fleet sweep resumed through the shared
+ * journal — under a hostile management-plane fault plan — must
+ * reassemble the single-shot report exactly.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "core/executor.hh"
 #include "core/fleet.hh"
+#include "core/framework.hh"
 #include "core/resultstore.hh"
 #include "workloads/spec.hh"
 
@@ -102,7 +102,7 @@ TEST(FleetExecutor, ReportIndependentOfChipEnumerationOrder)
 TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
 {
     // A fleet of one must collapse to exactly the single-chip
-    // executor: same chip identity, same report bytes.
+    // characterize(): same chip identity, same report bytes.
     const FleetReport fleet = fleetSweep({"TFF:2"}, 4);
     ASSERT_EQ(fleet.chips.size(), 1u);
 
@@ -111,8 +111,8 @@ TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
     platform.installFaultPlan(hostilePlan());
     FrameworkConfig config = sweepConfig();
     config.workers = 4;
-    CampaignExecutor executor(&platform);
-    const CharacterizationReport solo = executor.run(config);
+    CharacterizationFramework framework(&platform);
+    const CharacterizationReport solo = framework.characterize(config);
 
     EXPECT_EQ(serializeReport(fleet.chips[0].report),
               serializeReport(solo));

@@ -196,7 +196,23 @@ TEST_F(DaemonTest, FatalOnBadClampThreshold)
     options.clampAfterAbnormalRounds = 0;
     EXPECT_EXIT(daemon.run({{"bwaves/ref", 0}}, 1, 1, options),
                 ::testing::ExitedWithCode(1),
-                "clampAfterAbnormalRounds");
+                "clampAfterAbnormalRounds must be >= 1 \\(got 0\\)");
+}
+
+TEST_F(DaemonTest, FatalOnNegativeClampStep)
+{
+    // A negative step would make the graceful-degradation clamp lower
+    // the voltage after an abnormal streak instead of raising it.
+    GovernorDaemon daemon(platform_, trainedGovernor(0.0, 1));
+    for (const auto &profile : *profiles_)
+        daemon.registerProfile(profile);
+    DaemonOptions options;
+    options.clampStepMv = -10;
+    EXPECT_EXIT(daemon.run({{"bwaves/ref", 0}}, 1, 1, options),
+                ::testing::ExitedWithCode(1),
+                "clampStepMv must be >= 0 \\(got -10\\)");
+    options.clampStepMv = 0; // zero disables the clamp: accepted
+    options.validate();
 }
 
 TEST_F(DaemonTest, FatalOnBadFlushBatch)
