@@ -174,11 +174,6 @@ CampaignRunner::run(const CampaignConfig &config)
             sim::ExecutionConfig exec;
             exec.maxEpochs = config.maxEpochs;
             exec.droopSensitivityMv = config.droopSensitivityMv;
-            // A run's effect class comes from its outcome, EDAC log
-            // and crash state; nothing downstream reads its PMU
-            // counters (they come from the nominal-voltage profiling
-            // phase), so skip the cache model that only feeds them.
-            exec.collectCounters = false;
             const sim::RunResult run = platform_->runWorkload(
                 config.core, config.workload,
                 runSeed(seed_base, config, voltage, r), exec);

@@ -65,9 +65,10 @@ struct CampaignResult
     std::vector<ClassifiedRun> runs;
 
     /** Run records (identity + simulator result, whose counters are
-     *  all zero: campaigns run with ExecutionConfig::collectCounters
-     *  off). The classified rows in `runs` are built directly from
-     *  these; the legacy text log is derived on demand via rawLog(). */
+     *  all zero: campaign runs are measurement runs, and counters
+     *  come from the Profiler's nominal-voltage phase). The
+     *  classified rows in `runs` are built directly from these; the
+     *  legacy text log is derived on demand via rawLog(). */
     std::vector<RunLogRecord> records;
 
     uint64_t watchdogInterventions = 0;

@@ -462,8 +462,9 @@ bool decodeLedgerRecord(std::string_view payload,
  * checksum-failed frames, and refuses foreign files and version
  * mismatches.
  *
- * Completed cells are keyed by (configHash, workload, core); the
- * first intact occurrence wins, so racing sessions appending the
+ * Completed cells are keyed by (configHash, chip key, workload,
+ * core), the key of the replay index and of find(); the first
+ * intact occurrence wins, so racing sessions appending the
  * same cell — or a resume merging out-of-order parallel appends —
  * converge on one measurement per key.
  */

@@ -143,16 +143,31 @@ LinearPredictor::fit(const stats::Matrix &x, const stats::Vector &y,
 double
 LinearPredictor::predict(const stats::Vector &full_sample) const
 {
+    return predictGathered(full_sample, nullptr);
+}
+
+double
+LinearPredictor::predictAppended(const stats::Vector &row,
+                                 double last) const
+{
+    return predictGathered(row, &last);
+}
+
+double
+LinearPredictor::predictGathered(const stats::Vector &row,
+                                 const double *last) const
+{
     if (!model_.trained())
         util::panicf("LinearPredictor: predict before fit");
+    const size_t width = row.size() + (last ? 1 : 0);
     stats::Vector sample;
     sample.reserve(selected_.size());
     for (size_t index : selected_) {
-        if (index >= full_sample.size())
+        if (index >= width)
             util::panicf("LinearPredictor: sample too short for "
                          "feature ",
                          index);
-        sample.push_back(full_sample[index]);
+        sample.push_back(index < row.size() ? row[index] : *last);
     }
     return model_.predictOne(sample);
 }

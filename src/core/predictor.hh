@@ -83,6 +83,14 @@ class LinearPredictor
     /** Predict one sample given the *full* feature vector. */
     double predict(const stats::Vector &full_sample) const;
 
+    /**
+     * predict() of @p row with @p last appended as one more feature
+     * (feature index row.size()), without copying the row. Equal bit
+     * for bit to predict() of the appended vector.
+     */
+    double predictAppended(const stats::Vector &row,
+                           double last) const;
+
     /** Predict every row of a full feature matrix. */
     stats::Vector predictAll(const stats::Matrix &x) const;
 
@@ -97,6 +105,11 @@ class LinearPredictor
     const stats::LinearRegression &model() const { return model_; }
 
   private:
+    /** Gather the selected features of @p row (index row.size() reads
+     *  *@p last when given) and evaluate the model on them. */
+    double predictGathered(const stats::Vector &row,
+                           const double *last) const;
+
     stats::LinearRegression model_;
     std::vector<size_t> selected_;
 };

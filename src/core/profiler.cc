@@ -44,7 +44,7 @@ Profiler::profile(const wl::WorkloadProfile &workload, CoreId core,
         util::hashSeed("profiler:" + workload.id()),
         static_cast<uint64_t>(core));
     const sim::RunResult run =
-        platform_->runWorkload(core, workload, seed, exec);
+        platform_->profileWorkload(core, workload, seed, exec);
     if (run.abnormal())
         util::panicf("Profiler: abnormal run at nominal conditions "
                      "for ",

@@ -560,7 +560,7 @@ Session::runTask(const Placement &placement, int round,
         return ev;
     }
     ev.ran = true;
-    const auto workload = wl::findWorkload(placement.workloadId);
+    const auto &workload = wl::findWorkload(placement.workloadId);
     sim::ExecutionConfig exec;
     exec.maxEpochs = options.maxEpochs;
     const Seed run_seed = util::mixSeed(

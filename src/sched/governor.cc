@@ -58,9 +58,9 @@ VoltageGovernor::predictSeverity(const CoreObservation &observation,
                      observation.core);
     // Severity models take the full counter row with the voltage
     // appended as the last feature.
-    stats::Vector sample = observation.counterFeatures;
-    sample.push_back(static_cast<double>(voltage));
-    return std::max(0.0, it->second.predict(sample));
+    return std::max(0.0, it->second.predictAppended(
+                             observation.counterFeatures,
+                             static_cast<double>(voltage)));
 }
 
 MilliVolt

@@ -180,9 +180,10 @@ class Cache
      *
      * Both arrays are allocated by the first access(), not by the
      * constructor: empty keys_ reads as all ways invalid, exactly
-     * like freshly zeroed keys. Campaigns run with counters off and
-     * never walk the caches, so the per-cell platform replicas they
-     * run on never allocate or zero the hierarchy's ~2.4 MB of ways.
+     * like freshly zeroed keys. Measurement runs (campaigns, the
+     * governor daemon) never walk the caches, so a platform that only
+     * measures never allocates or zeroes the hierarchy's ~2.4 MB of
+     * ways.
      *
      * lastUse_ packs (useClock << 1 | dirty): the clock strictly
      * increases, so two ways never share a clock value and the LRU

@@ -52,6 +52,21 @@ RunResult
 Chip::runOnCore(CoreId core_id, const wl::WorkloadProfile &workload,
                 Seed run_seed, const ExecutionConfig &overrides)
 {
+    return execute(core_id, workload, run_seed, overrides, false);
+}
+
+RunResult
+Chip::profileOnCore(CoreId core_id, const wl::WorkloadProfile &workload,
+                    Seed run_seed, const ExecutionConfig &overrides)
+{
+    return execute(core_id, workload, run_seed, overrides, true);
+}
+
+RunResult
+Chip::execute(CoreId core_id, const wl::WorkloadProfile &workload,
+              Seed run_seed, const ExecutionConfig &overrides,
+              bool profile)
+{
     const Pmd &owner = pmd(params_.pmdOfCore(core_id));
 
     ExecutionConfig config = overrides;
@@ -63,8 +78,9 @@ Chip::runOnCore(CoreId core_id, const wl::WorkloadProfile &workload,
     const OnsetSet onsets = margins_.onsets(
         core_id, workload, config.speedClass);
 
-    RunResult result =
-        core(core_id).run(workload, onsets, config);
+    Core &target = core(core_id);
+    RunResult result = profile ? target.run(workload, onsets, config)
+                               : target.measure(workload, onsets, config);
     for (const auto &record : result.errors)
         edac_.report(record);
     return result;

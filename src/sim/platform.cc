@@ -33,6 +33,23 @@ Platform::runWorkload(CoreId core,
                       const wl::WorkloadProfile &workload,
                       Seed run_seed, const ExecutionConfig &overrides)
 {
+    return execute(core, workload, run_seed, overrides, false);
+}
+
+RunResult
+Platform::profileWorkload(CoreId core,
+                          const wl::WorkloadProfile &workload,
+                          Seed run_seed,
+                          const ExecutionConfig &overrides)
+{
+    return execute(core, workload, run_seed, overrides, true);
+}
+
+RunResult
+Platform::execute(CoreId core, const wl::WorkloadProfile &workload,
+                  Seed run_seed, const ExecutionConfig &overrides,
+                  bool profile)
+{
     if (!responsive()) {
         // Nothing executes on a hung or powered-off machine; report
         // it as a system-level failure of this attempt.
@@ -49,7 +66,8 @@ Platform::runWorkload(CoreId core,
     ExecutionConfig exec = overrides;
     exec.temperature = thermal_.temperature();
     RunResult result =
-        chip_->runOnCore(core, workload, run_seed, exec);
+        profile ? chip_->profileOnCore(core, workload, run_seed, exec)
+                : chip_->runOnCore(core, workload, run_seed, exec);
 
     // Keep the package at the fan controller's setpoint for the
     // duration of the run; a rough 20 W proxy load is fine because

@@ -57,15 +57,26 @@ class Platform
     uint64_t bootCount() const { return bootCount_; }
 
     /**
-     * Run a workload on a core at the chip's current settings.
-     * Returns a crashed RunResult immediately when the machine is
-     * not running (the caller forgot to power cycle). On a system
-     * crash the machine transitions to Unresponsive.
+     * Measurement run of a workload on a core at the chip's current
+     * settings (Chip::runOnCore: no cache or PMU model, counters
+     * zero). Returns a crashed RunResult immediately when the
+     * machine is not running (the caller forgot to power cycle). On
+     * a system crash the machine transitions to Unresponsive.
      */
     RunResult runWorkload(CoreId core,
                           const wl::WorkloadProfile &workload,
                           Seed run_seed,
                           const ExecutionConfig &overrides = {});
+
+    /**
+     * Profiling run: runWorkload() with the cache and PMU model on
+     * (Chip::profileOnCore), so RunResult::counters holds the run's
+     * PMU counters. Profiler is its one production caller.
+     */
+    RunResult profileWorkload(CoreId core,
+                              const wl::WorkloadProfile &workload,
+                              Seed run_seed,
+                              const ExecutionConfig &overrides = {});
 
     /** Front panel: pull power, then boot fresh at nominal V/F. */
     void powerCycle();
@@ -132,6 +143,10 @@ class Platform
                                            uint32_t serial) const;
 
   private:
+    RunResult execute(CoreId core, const wl::WorkloadProfile &workload,
+                      Seed run_seed, const ExecutionConfig &overrides,
+                      bool profile);
+
     std::unique_ptr<Chip> chip_;
     DesignEnhancements enhancements_;
     ThermalModel thermal_;

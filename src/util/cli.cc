@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "logging.hh"
 #include "strings.hh"
@@ -52,7 +53,10 @@ CliParser::addOption(const std::string &name, const std::string &def,
 {
     if (options_.count(name))
         panicf("CliParser: duplicate option --", name);
-    options_[name] = Option{help, def, false, false};
+    Option opt;
+    opt.help = help;
+    opt.value = def;
+    options_[name] = std::move(opt);
     order_.push_back(name);
 }
 
@@ -61,7 +65,10 @@ CliParser::addFlag(const std::string &name, const std::string &help)
 {
     if (options_.count(name))
         panicf("CliParser: duplicate option --", name);
-    options_[name] = Option{help, "", true, false};
+    Option opt;
+    opt.help = help;
+    opt.isFlag = true;
+    options_[name] = std::move(opt);
     order_.push_back(name);
 }
 
@@ -91,15 +98,13 @@ CliParser::parse(int argc, const char *const *argv)
             positional_.push_back(arg);
             continue;
         }
-        std::string name = arg.substr(2);
-        std::string inline_value;
-        bool has_inline = false;
-        const auto eq = name.find('=');
-        if (eq != std::string::npos) {
-            inline_value = name.substr(eq + 1);
-            name = name.substr(0, eq);
-            has_inline = true;
-        }
+        // "--name" or "--name=value".
+        const std::string_view body = std::string_view(arg).substr(2);
+        const auto eq = body.find('=');
+        const bool has_inline = eq != std::string_view::npos;
+        const std::string name(body.substr(0, eq));
+        const std::string inline_value =
+            has_inline ? std::string(body.substr(eq + 1)) : std::string();
         auto it = options_.find(name);
         if (it == options_.end()) {
             std::cerr << program_ << ": unknown option --" << name
@@ -114,7 +119,7 @@ CliParser::parse(int argc, const char *const *argv)
                           << " takes no value\n";
                 return false;
             }
-            opt.value = "1";
+            opt.value.assign(1, '1');
         } else {
             if (!has_inline && i + 1 >= argc) {
                 std::cerr << program_ << ": option --" << name

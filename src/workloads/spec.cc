@@ -82,8 +82,12 @@ headlineSuite()
     return suite;
 }
 
+namespace
+{
+
+/** Build and validate the 40-sample population. */
 std::vector<WorkloadProfile>
-fullSuite()
+buildFullSuite()
 {
     std::vector<WorkloadProfile> suite = headlineSuite();
 
@@ -212,10 +216,27 @@ fullSuite()
     return suite;
 }
 
-WorkloadProfile
+/** The full suite, built once per process. A function-local static,
+ *  so concurrent first calls from several threads are safe. */
+const std::vector<WorkloadProfile> &
+catalog()
+{
+    static const std::vector<WorkloadProfile> suite = buildFullSuite();
+    return suite;
+}
+
+} // namespace
+
+std::vector<WorkloadProfile>
+fullSuite()
+{
+    return catalog();
+}
+
+const WorkloadProfile &
 findWorkload(const std::string &id)
 {
-    const auto suite = fullSuite();
+    const auto &suite = catalog();
     // Exact "name/dataset" match first, then first "name" match.
     for (const auto &p : suite)
         if (p.id() == id)
@@ -231,7 +252,7 @@ std::vector<std::string>
 benchmarkNames()
 {
     std::vector<std::string> names;
-    for (const auto &p : fullSuite()) {
+    for (const auto &p : catalog()) {
         bool seen = false;
         for (const auto &n : names)
             if (n == p.name)

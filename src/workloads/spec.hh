@@ -38,9 +38,11 @@ std::vector<WorkloadProfile> fullSuite();
 
 /**
  * Find a profile by "name" or "name/dataset" in the full suite.
- * Fatal (user error) when the workload does not exist.
+ * Fatal (user error) when the workload does not exist. The suite is
+ * built once per process; the reference stays valid for the life of
+ * the program.
  */
-WorkloadProfile findWorkload(const std::string &id);
+const WorkloadProfile &findWorkload(const std::string &id);
 
 /** Names (no datasets) of every benchmark in the full suite. */
 std::vector<std::string> benchmarkNames();

@@ -161,7 +161,8 @@ TEST(CrossValidate, RecoversLinearSignal)
     }
     dataset.x = stats::Matrix::fromRows(rows);
     for (int j = 0; j < 10; ++j)
-        dataset.featureNames.push_back("f" + std::to_string(j));
+        dataset.featureNames.push_back(std::string("f").append(
+            std::to_string(j)));
 
     EvaluationConfig config;
     config.keepFeatures = 2;

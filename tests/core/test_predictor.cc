@@ -140,6 +140,41 @@ TEST_F(PredictorTest, LinearPredictorRoundTrip)
     EXPECT_DOUBLE_EQ(predictor.predict(ds.x.row(0)), all[0]);
 }
 
+TEST_F(PredictorTest, PredictAppendedEqualsPredictOfTheAppendedRow)
+{
+    const auto ds = buildSeverityDataset(*profiles_, *report_, 0);
+    LinearPredictor predictor;
+    predictor.fit(ds.x, ds.y, 5, 4);
+    for (size_t r = 0; r < ds.x.rows(); ++r) {
+        const stats::Vector full = ds.x.row(r);
+        const stats::Vector counters(full.begin(), full.end() - 1);
+        EXPECT_EQ(predictor.predictAppended(counters, full.back()),
+                  predictor.predict(full))
+            << "row " << r;
+    }
+}
+
+TEST(LinearPredictorDeath, RowTooShortNamesTheFeature)
+{
+    // Three features, all kept: selected indices 0, 1 and 2.
+    std::vector<stats::Vector> rows;
+    stats::Vector y;
+    for (int i = 0; i < 12; ++i) {
+        const double a = i;
+        const double b = (i * 7) % 5;
+        const double c = (i * 3) % 4;
+        rows.push_back({a, b, c});
+        y.push_back(2.0 * a - b + 0.5 * c);
+    }
+    LinearPredictor predictor;
+    predictor.fit(stats::Matrix::fromRows(rows), y, 3);
+    ASSERT_EQ(predictor.selectedFeatures().size(), 3u);
+    EXPECT_DEATH((void)predictor.predictAppended({1.0}, 2.0),
+                 "sample too short for feature 2");
+    EXPECT_DEATH((void)predictor.predict({1.0, 2.0}),
+                 "sample too short for feature 2");
+}
+
 TEST_F(PredictorTest, PredictedSeverityGrowsAsVoltageDrops)
 {
     const auto ds = buildSeverityDataset(*profiles_, *report_, 0);

@@ -218,8 +218,13 @@ class SinkTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One file per test: ctest runs the cases of this fixture as
+        // concurrent processes.
+        const std::string name = ::testing::UnitTest::GetInstance()
+                                     ->current_test_info()
+                                     ->name();
         path_ = (std::filesystem::temp_directory_path() /
-                 "vmargin_obs_sink_test.jsonl")
+                 ("vmargin_obs_sink_test_" + name + ".jsonl"))
                     .string();
         std::remove(path_.c_str());
     }

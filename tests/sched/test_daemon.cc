@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/predictor.hh"
 #include "sched/daemon.hh"
 #include "sim/platform.hh"
@@ -77,6 +79,41 @@ class DaemonTest : public ::testing::Test
 sim::Platform *DaemonTest::platform_ = nullptr;
 CharacterizationReport *DaemonTest::report_ = nullptr;
 std::vector<WorkloadCounters> *DaemonTest::profiles_ = nullptr;
+
+TEST_F(DaemonTest, PredictSeverityEqualsTheCopyAndAppendPrediction)
+{
+    const VoltageGovernor governor = trainedGovernor(0.0, 1);
+    const GovernorConfig &config = governor.config();
+    for (CoreId core : {0, 4}) {
+        // The same deterministic fit trainedGovernor() installed.
+        const auto dataset =
+            buildSeverityDataset(*profiles_, *report_, core);
+        LinearPredictor predictor;
+        predictor.fit(dataset.x, dataset.y, 5, 8);
+        // The comparison covers the appended voltage only if the
+        // model reads it.
+        const auto &selected = predictor.selectedFeatures();
+        ASSERT_NE(std::find(selected.begin(), selected.end(),
+                            sim::kNumPmuEvents),
+                  selected.end());
+        for (const auto &profile : *profiles_) {
+            CoreObservation obs;
+            obs.core = core;
+            for (size_t e = 0; e < sim::kNumPmuEvents; ++e)
+                obs.counterFeatures.push_back(
+                    profile.perKilo(static_cast<sim::PmuEvent>(e)));
+            for (MilliVolt v = config.nominal; v >= config.floor;
+                 v -= config.step) {
+                stats::Vector appended = obs.counterFeatures;
+                appended.push_back(static_cast<double>(v));
+                EXPECT_EQ(governor.predictSeverity(obs, v),
+                          std::max(0.0, predictor.predict(appended)))
+                    << "core " << core << ", " << profile.workloadId
+                    << " at " << v << " mV";
+            }
+        }
+    }
+}
 
 TEST_F(DaemonTest, SafeToleranceHarvestsWithoutIncidents)
 {

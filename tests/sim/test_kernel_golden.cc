@@ -17,6 +17,7 @@
 
 #include "sim/cache_hierarchy.hh"
 #include "sim/core.hh"
+#include "sim/platform.hh"
 #include "util/rng.hh"
 #include "workloads/spec.hh"
 
@@ -101,8 +102,8 @@ TEST(KernelGolden, FaultRngAndAddressStreamSequences)
 
 /**
  * Every RunResult field except the counters must match between a
- * counters-on and a counters-off run of the same config; the
- * counters-off run's counters must be all zero.
+ * profiling (@p on) and a measurement (@p off) run of the same
+ * config; the measurement run's counters must be all zero.
  */
 void
 expectSameOutcome(const RunResult &on, const RunResult &off)
@@ -130,16 +131,17 @@ expectSameOutcome(const RunResult &on, const RunResult &off)
         EXPECT_EQ(off.errors[i].count, on.errors[i].count);
     }
     EXPECT_EQ(off.counters, PmuSnapshot{})
-        << "a counters-off run must leave every counter zero";
+        << "a measurement run must leave every counter zero";
 }
 
 /**
  * A representative run per effect regime, hashed end to end: every
  * counter, error record and observable. Reordering any draw inside
  * Core::run (the batching refactor's one forbidden failure mode)
- * changes this hash. Each run is repeated with collectCounters off,
- * which must reproduce everything but the counters — so the draws
- * that stand in for the skipped write-intent draws are pinned too.
+ * changes this hash. Each run is repeated as a measurement run
+ * (Core::measure), which must reproduce everything but the counters
+ * — so the draws that stand in for the skipped write-intent draws
+ * are pinned too.
  */
 TEST(KernelGolden, RunResultAcrossVoltageGrid)
 {
@@ -159,13 +161,11 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
     const auto runBoth = [&](const char *workload,
                              ExecutionConfig config) {
         const auto &profile = wl::findWorkload(workload);
-        config.collectCounters = true;
         caches.invalidateAll();
         const RunResult on = core.run(profile, onsets, config);
         hash = hashRun(hash, on);
-        config.collectCounters = false;
         caches.invalidateAll();
-        const RunResult off = core.run(profile, onsets, config);
+        const RunResult off = core.measure(profile, onsets, config);
         SCOPED_TRACE(testing::Message()
                      << workload << " at " << config.voltage << " mV");
         expectSameOutcome(on, off);
@@ -197,6 +197,67 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
     // The comparison only bites if fault draws happened after the
     // skipped cache walk.
     EXPECT_GE(abnormal_runs, 3);
+}
+
+/**
+ * The governor daemon's call shape: measurement runs of at most 8
+ * epochs through Platform::runWorkload on a long-lived platform
+ * settled before each run, with a round seed and its 0x5AFE
+ * re-execution seed. Each measurement must see exactly what a
+ * profiling run (Platform::profileWorkload) of the same seed from
+ * the same settled state sees, bar the counters — once above every
+ * onset and once inside the fault regimes.
+ */
+TEST(KernelGolden, DaemonShapeMeasurementMatchesProfiling)
+{
+    Platform platform(XGene2Params{}, ChipCorner::TTT, 1);
+    const CoreId core = 0;
+    const auto &workload = wl::findWorkload("bwaves/ref");
+    const OnsetSet onsets = platform.chip().margins().onsets(
+        core, workload, SpeedClass::Full);
+    const MilliVolt safe = 980;
+    const MilliVolt faulty = 880;
+    ASSERT_GT(safe, onsets.highest());
+    ASSERT_LE(faulty, onsets.ce);
+
+    // The daemon settles its platform every round; a crashed run
+    // leaves it down, which the watchdog's power cycle resets.
+    const auto settleAt = [&platform](MilliVolt v) {
+        if (platform.responsive())
+            platform.settleForRound();
+        else
+            platform.powerCycle();
+        EXPECT_TRUE(platform.chip().pmdDomain().set(v));
+    };
+
+    ExecutionConfig exec;
+    exec.maxEpochs = 8;
+    const Seed round_seed =
+        util::mixSeed(util::mixSeed(0x5EEDULL, 3),
+                      static_cast<uint64_t>(core));
+    int abnormal_runs = 0;
+    for (const MilliVolt v : {safe, faulty}) {
+        for (const Seed seed :
+             {round_seed, util::mixSeed(round_seed, 0x5AFEULL)}) {
+            SCOPED_TRACE(testing::Message()
+                         << v << " mV, seed " << seed);
+            settleAt(v);
+            const RunResult profiled =
+                platform.profileWorkload(core, workload, seed, exec);
+            settleAt(v);
+            const RunResult measured =
+                platform.runWorkload(core, workload, seed, exec);
+            expectSameOutcome(profiled, measured);
+            EXPECT_NE(profiled.counters, PmuSnapshot{})
+                << "a profiling run must fill the counters";
+            if (v == safe) {
+                EXPECT_FALSE(measured.abnormal());
+            }
+            abnormal_runs += measured.abnormal() ? 1 : 0;
+        }
+    }
+    // The comparison only bites if the fault regime produced effects.
+    EXPECT_GE(abnormal_runs, 1);
 }
 
 } // namespace

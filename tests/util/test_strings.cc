@@ -204,9 +204,11 @@ TEST(AppendInteger, MatchesToString)
     appendInteger(out, int32_t{-2147483647 - 1});
     appendInteger(out, uint64_t{18446744073709551615u});
     appendInteger(out, size_t{0});
-    EXPECT_EQ(out, "x" + std::to_string(int32_t{-2147483647 - 1}) +
-                       std::to_string(uint64_t{18446744073709551615u}) +
-                       "0");
+    std::string expected = "x";
+    expected += std::to_string(int32_t{-2147483647 - 1});
+    expected += std::to_string(uint64_t{18446744073709551615u});
+    expected += "0";
+    EXPECT_EQ(out, expected);
 }
 
 TEST(ParseWhole, RejectsPartialAndOutOfRange)
