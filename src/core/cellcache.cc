@@ -44,9 +44,10 @@ CellResultCache::find(Seed config_hash, const ChipRef &chip,
 }
 
 void
-CellResultCache::put(Seed config_hash, const CellMeasurement &cell)
+CellResultCache::put(Seed config_hash, const CellMeasurement &cell,
+                     std::string_view run_frames)
 {
-    ledger_.append(config_hash, cell);
+    ledger_.append(config_hash, cell, run_frames);
 }
 
 void

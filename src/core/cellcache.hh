@@ -21,6 +21,7 @@
 #define VMARGIN_CORE_CELLCACHE_HH
 
 #include <string>
+#include <string_view>
 
 #include "ledger.hh"
 
@@ -64,13 +65,16 @@ class CellResultCache
                                 CoreId core) const;
 
     /**
-     * Append a finished cell under @p config_hash; the group-commit
-     * policy decides when the bytes are flushed (the default flushes
-     * per put). Safe to call concurrently from executor workers. A
-     * duplicate key (already cached) is ignored — first write wins,
-     * matching the journal's merge-on-resume rule.
+     * Append a finished cell under @p config_hash, whose run frames
+     * @p run_frames holds (encodeRunFramesInto()); the cache adds
+     * its commit frame. The group-commit policy decides when the
+     * bytes are flushed (the default flushes per put). Safe to call
+     * concurrently from executor workers. A duplicate key (already
+     * cached) is ignored — first write wins, matching the journal's
+     * merge-on-resume rule.
      */
-    void put(Seed config_hash, const CellMeasurement &cell);
+    void put(Seed config_hash, const CellMeasurement &cell,
+             std::string_view run_frames);
 
     /** Drain any batched puts to the OS (durability barrier). */
     void flush();

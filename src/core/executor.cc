@@ -1,6 +1,8 @@
 #include "executor.hh"
 
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "cellcache.hh"
 #include "obs/metrics.hh"
@@ -69,13 +71,14 @@ struct PlanEntry
 /**
  * Fold one measured (or replayed) cell into a report being
  * assembled: runs stream into @p view and the report's aggregate
- * counters, while a cell whose every run was lost to management
- * faults is degraded — accounted and omitted — rather than aborting
- * the sweep.
+ * counters, then move into the report's run list (nothing reads the
+ * cell after the merge), while a cell whose every run was lost to
+ * management faults is degraded — accounted and omitted — rather
+ * than aborting the sweep.
  */
 void
 mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
-                    const CellMeasurement &cell)
+                    CellMeasurement &cell)
 {
     if (cell.runs.empty()) {
         // Extreme hostility can lose a whole cell to the
@@ -93,8 +96,9 @@ mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
 
     view.addAll(cell.runs);
     report.totalRuns += cell.runs.size();
-    report.allRuns.insert(report.allRuns.end(), cell.runs.begin(),
-                          cell.runs.end());
+    report.allRuns.insert(report.allRuns.end(),
+                          std::make_move_iterator(cell.runs.begin()),
+                          std::make_move_iterator(cell.runs.end()));
     report.watchdogInterventions += cell.watchdogInterventions;
     report.telemetry.merge(cell.telemetry);
 }
@@ -308,11 +312,18 @@ executeFresh(Sweep &sweep)
             measureCellWith(runner, *plan[i].workload, plan[i].core,
                             config, cell);
             cell.chip = chip.chip;
-            if (sweep.journal)
-                sweep.journal->append(cell);
-            if (sweep.cache)
-                sweep.cache->put(sweep.configHashes[plan[i].chipIndex],
-                                 cell);
+            if (sweep.journal || sweep.cache) {
+                // The run frames are the same in both files: encode
+                // and checksum them once; each adds its own commit.
+                std::string run_frames;
+                encodeRunFramesInto(run_frames, cell.runs);
+                if (sweep.journal)
+                    sweep.journal->append(cell, run_frames);
+                if (sweep.cache)
+                    sweep.cache->put(
+                        sweep.configHashes[plan[i].chipIndex], cell,
+                        run_frames);
+            }
             stats.cellsMeasured.inc();
             chip_progress[plan[i].chipIndex]->inc();
         });
@@ -335,11 +346,16 @@ executeFresh(Sweep &sweep)
  * chip's merged run stream derives every cell's analysis; cells keep
  * first-seen (= plan, = canonical) order, so each report is
  * byte-identical for any worker count and chip enumeration order.
+ * Consumes the sweep's cells: their runs move into the reports.
  */
 std::vector<CharacterizationReport>
 mergePerChip(Sweep &sweep)
 {
-    const std::vector<PlanEntry> &plan = sweep.plan;
+    std::vector<PlanEntry> &plan = sweep.plan;
+    const auto cellAt = [&sweep](size_t i) -> CellMeasurement & {
+        return sweep.plan[i].fresh() ? sweep.measured[i]
+                                     : sweep.plan[i].replayed;
+    };
     std::vector<CharacterizationReport> reports(sweep.chips.size());
     obs::ScopedSpan merging(sweep.stats.mergeSpan);
     size_t i = 0;
@@ -351,15 +367,18 @@ mergePerChip(Sweep &sweep)
         report.corner = chip.corner();
         report.frequency = sweep.config.frequency;
         report.complete = sweep.complete;
+        size_t end = i;
+        size_t chip_runs = 0;
+        for (; end < plan.size() && plan[end].chipIndex == ci; ++end)
+            chip_runs += cellAt(end).runs.size();
+        report.allRuns.reserve(chip_runs);
         LedgerView view(sweep.config.weights);
-        for (; i < plan.size() && plan[i].chipIndex == ci; ++i) {
+        for (; i < end; ++i) {
             if (plan[i].fromJournal)
                 ++report.telemetry.journalReplays;
             if (plan[i].fromCache)
                 ++report.telemetry.cacheHits;
-            mergeCellIntoReport(report, view,
-                                plan[i].fresh() ? sweep.measured[i]
-                                                : plan[i].replayed);
+            mergeCellIntoReport(report, view, cellAt(i));
         }
         report.cells = std::move(view).cellResults();
     }

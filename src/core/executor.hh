@@ -25,8 +25,10 @@
  * sweep of the same configuration. The write-ahead journal and the
  * cell-result cache are appended from worker threads in completion
  * order (their append paths are mutex-guarded), so their on-disk
- * cell order is the one artifact that may differ between worker
- * counts; both tolerate arbitrary order on load.
+ * cell order is the one artifact that may differ between runs —
+ * even at one worker, whose pick order depends on how far the
+ * planning thread got submitting — and both tolerate arbitrary order
+ * on load.
  */
 
 #ifndef VMARGIN_CORE_EXECUTOR_HH

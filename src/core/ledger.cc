@@ -38,20 +38,36 @@ ledgerChecksum(std::string_view payload)
 namespace
 {
 
+/** Store @p value little-endian into the sizeof(Word) bytes at
+ *  @p at (one store on a little-endian host). */
+template <typename Word>
+void
+storeWord(char *at, Word value)
+{
+    for (size_t i = 0; i < sizeof(Word); ++i)
+        at[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
+}
+
+/** Append @p value as one little-endian word in one append call. */
+template <typename Word>
+void
+putWord(std::string &out, Word value)
+{
+    char bytes[sizeof(Word)];
+    storeWord(bytes, value);
+    out.append(bytes, sizeof(Word));
+}
+
 void
 putU32(std::string &out, uint32_t value)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(
-            static_cast<char>((value >> shift) & 0xffu));
+    putWord(out, value);
 }
 
 void
 putU64(std::string &out, uint64_t value)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(
-            static_cast<char>((value >> shift) & 0xffu));
+    putWord(out, value);
 }
 
 void
@@ -194,6 +210,31 @@ readTelemetry(PayloadReader &reader)
     return telemetry;
 }
 
+/** Frame prefix: u32 payload length + u32 checksum. */
+constexpr size_t kFramePrefixBytes = 8;
+
+/**
+ * Append one frame of @p record to @p out: the payload is encoded in
+ * place behind a reserved prefix, which is filled in once the payload
+ * length and checksum are known. Same bytes as appendFrame() over the
+ * encoded payload, without the payload's round trip through a
+ * separate buffer.
+ */
+template <typename Record, typename EncodeInto>
+void
+appendFramed(std::string &out, const Record &record,
+             EncodeInto encode_into)
+{
+    const size_t start = out.size();
+    out.append(kFramePrefixBytes, '\0');
+    encode_into(out, record);
+    const size_t body = start + kFramePrefixBytes;
+    const std::string_view payload(out.data() + body,
+                                   out.size() - body);
+    storeWord(out.data() + start, static_cast<uint32_t>(payload.size()));
+    storeWord(out.data() + start + 4, ledgerChecksum(payload));
+}
+
 } // namespace
 
 void
@@ -207,10 +248,9 @@ appendFrame(std::string &out, std::string_view payload)
 FrameCursor::Status
 FrameCursor::next(std::string_view &payload, uint32_t &checksum)
 {
-    constexpr size_t kPrefixBytes = 8; ///< u32 length + u32 checksum
     if (pos_ >= bytes_.size())
         return Status::End;
-    if (bytes_.size() - pos_ < kPrefixBytes)
+    if (bytes_.size() - pos_ < kFramePrefixBytes)
         return Status::Truncated;
     uint32_t length = 0;
     for (int shift = 0; shift < 32; shift += 8)
@@ -223,10 +263,10 @@ FrameCursor::next(std::string_view &payload, uint32_t &checksum)
             static_cast<uint32_t>(static_cast<unsigned char>(
                 bytes_[pos_ + 4 + static_cast<size_t>(shift / 8)]))
             << shift;
-    if (bytes_.size() - pos_ - kPrefixBytes < length)
+    if (bytes_.size() - pos_ - kFramePrefixBytes < length)
         return Status::Truncated;
-    payload = bytes_.substr(pos_ + kPrefixBytes, length);
-    pos_ += kPrefixBytes + length;
+    payload = bytes_.substr(pos_ + kFramePrefixBytes, length);
+    pos_ += kFramePrefixBytes + length;
     return Status::Frame;
 }
 
@@ -258,6 +298,13 @@ encodeRunRecord(const RunRecord &record)
     std::string payload;
     encodeRunRecordInto(payload, record);
     return payload;
+}
+
+void
+encodeRunFramesInto(std::string &out, const std::vector<RunRecord> &runs)
+{
+    for (const RunRecord &run : runs)
+        appendFramed(out, run, encodeRunRecordInto);
 }
 
 void
@@ -538,7 +585,6 @@ namespace
 {
 
 constexpr size_t kMagicBytes = 4;
-constexpr size_t kFramePrefixBytes = 8; ///< u32 length + u32 checksum
 
 /** Header frame payload: framing version + application header. */
 std::string
@@ -1144,32 +1190,17 @@ namespace
 {
 
 /**
- * Per-thread scratch for record encoding: frames accumulates the
- * framed commit unit, payload holds one record's payload before
- * framing. thread_local so concurrent workers encode without
- * contending, and the capacity survives across appends — steady
- * state allocates nothing.
+ * Per-thread scratch that one commit unit's frames are encoded into
+ * before they enter the writer. thread_local so concurrent workers
+ * encode without contending, and the capacity survives across
+ * appends — steady state allocates nothing.
  */
-struct EncodeScratch
-{
-    std::string frames;
-    std::string payload;
-
-    void
-    addFrame(const auto &record, auto encode_into)
-    {
-        payload.clear();
-        encode_into(payload, record);
-        appendFrame(frames, payload);
-    }
-};
-
-EncodeScratch &
+std::string &
 encodeScratch()
 {
-    thread_local EncodeScratch scratch;
-    scratch.frames.clear();
-    return scratch;
+    thread_local std::string frames;
+    frames.clear();
+    return frames;
 }
 
 } // namespace
@@ -1177,24 +1208,33 @@ encodeScratch()
 void
 RunLedger::append(Seed config_hash, const CellMeasurement &cell)
 {
+    thread_local std::string run_frames;
+    run_frames.clear();
+    encodeRunFramesInto(run_frames, cell.runs);
+    append(config_hash, cell, run_frames);
+}
+
+void
+RunLedger::append(Seed config_hash, const CellMeasurement &cell,
+                  std::string_view run_frames)
+{
     {
         // Cheap racy pre-check: losing the race is handled by the
-        // re-check below; winning it skips the encode entirely.
+        // re-check below; winning it skips the commit encode.
         std::lock_guard<std::mutex> lock(mutex_);
         if (findLocked(config_hash, cell.chip.key(),
                        cell.workloadId, cell.core))
             return; // first write wins
     }
 
-    // Encode the whole commit unit — run frames plus the commit
-    // frame — outside the mutex into per-thread scratch. The
-    // critical section below is the duplicate re-check, one buffer
-    // append and the group-commit flush decision. Commits are
-    // encoded at the *file's* version so a resumed legacy file
+    // Assemble the whole commit unit — the run frames plus this
+    // ledger's commit frame — outside the mutex into per-thread
+    // scratch. The critical section below is the duplicate re-check,
+    // one buffer append and the group-commit flush decision. Commits
+    // are encoded at the *file's* version so a resumed legacy file
     // stays self-consistent (all its cells are the implicit chip).
-    EncodeScratch &scratch = encodeScratch();
-    for (const auto &run : cell.runs)
-        scratch.addFrame(run, encodeRunRecordInto);
+    std::string &frames = encodeScratch();
+    frames.append(run_frames);
     CellCommit commit;
     commit.configHash = config_hash;
     commit.chip = cell.chip;
@@ -1203,10 +1243,10 @@ RunLedger::append(Seed config_hash, const CellMeasurement &cell)
     commit.runCount = static_cast<uint32_t>(cell.runs.size());
     commit.watchdogInterventions = cell.watchdogInterventions;
     commit.telemetry = cell.telemetry;
-    scratch.addFrame(commit,
-                     [this](std::string &out, const CellCommit &c) {
-                         encodeCellCommitInto(out, c, fileVersion_);
-                     });
+    appendFramed(frames, commit,
+                 [this](std::string &out, const CellCommit &c) {
+                     encodeCellCommitInto(out, c, fileVersion_);
+                 });
 
     Entry entry{config_hash, cell}; // deep copy outside the lock
 
@@ -1214,7 +1254,7 @@ RunLedger::append(Seed config_hash, const CellMeasurement &cell)
     if (findLocked(config_hash, cell.chip.key(), cell.workloadId,
                    cell.core))
         return; // raced: the first writer's cell stands
-    writer_.append(scratch.frames, options_);
+    writer_.append(frames, options_);
     byKey_.emplace(std::make_tuple(config_hash, cell.chip.key(),
                                    cell.workloadId, cell.core),
                    entries_.size());
@@ -1225,14 +1265,14 @@ void
 RunLedger::appendDaemonRound(const DaemonRoundRecord &round,
                              const SupervisorCheckpoint &state)
 {
-    EncodeScratch &scratch = encodeScratch();
-    scratch.addFrame(round, encodeDaemonRoundInto);
-    scratch.addFrame(state, encodeSupervisorCheckpointInto);
+    std::string &frames = encodeScratch();
+    appendFramed(frames, round, encodeDaemonRoundInto);
+    appendFramed(frames, state, encodeSupervisorCheckpointInto);
 
     DaemonRoundEntry entry{round, state};
 
     std::lock_guard<std::mutex> lock(mutex_);
-    writer_.append(scratch.frames, options_);
+    writer_.append(frames, options_);
     daemonRounds_.push_back(std::move(entry));
 }
 

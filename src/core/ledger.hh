@@ -311,6 +311,16 @@ void encodeDaemonRoundInto(std::string &out,
 void encodeSupervisorCheckpointInto(std::string &out,
                                     const SupervisorCheckpoint &state);
 
+/**
+ * Append one frame (length + checksum + payload) per run of @p runs
+ * to @p out. A cell's run frames do not depend on the ledger or its
+ * file version — only the commit frame does — so a cell bound for
+ * several ledgers is framed once and handed to each
+ * RunLedger::append().
+ */
+void encodeRunFramesInto(std::string &out,
+                         const std::vector<RunRecord> &runs);
+
 /** Encode records to frame payloads (no framing applied). */
 std::string encodeRunRecord(const RunRecord &record);
 std::string encodeCellCommit(const CellCommit &commit);
@@ -524,6 +534,12 @@ class RunLedger
      * concurrently. A duplicate key is ignored — first write wins.
      */
     void append(Seed config_hash, const CellMeasurement &cell);
+
+    /** append() with the cell's run frames already encoded by
+     *  encodeRunFramesInto(); only the commit frame is encoded
+     *  here. */
+    void append(Seed config_hash, const CellMeasurement &cell,
+                std::string_view run_frames);
 
     /** Framing version of the open file (fresh files: current). */
     uint32_t fileVersion() const { return fileVersion_; }

@@ -286,9 +286,10 @@ CampaignJournal::size() const
 }
 
 void
-CampaignJournal::append(const CellMeasurement &cell)
+CampaignJournal::append(const CellMeasurement &cell,
+                        std::string_view run_frames)
 {
-    ledger_.append(0, cell);
+    ledger_.append(0, cell, run_frames);
 }
 
 void

@@ -16,6 +16,7 @@
 #define VMARGIN_CORE_RESULTSTORE_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "framework.hh"
@@ -145,12 +146,14 @@ class CampaignJournal
                                 CoreId core) const;
 
     /**
-     * Append a finished cell; the group-commit policy decides when
-     * the bytes are flushed (the default flushes per cell). Safe to
-     * call concurrently from executor workers; entries land in
-     * completion order.
+     * Append a finished cell, whose run frames @p run_frames holds
+     * (encodeRunFramesInto()); the journal adds its commit frame.
+     * The group-commit policy decides when the bytes are flushed
+     * (the default flushes per cell). Safe to call concurrently from
+     * executor workers; entries land in completion order.
      */
-    void append(const CellMeasurement &cell);
+    void append(const CellMeasurement &cell,
+                std::string_view run_frames);
 
     /** Drain any batched appends to the OS (durability barrier). */
     void flush();

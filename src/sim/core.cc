@@ -34,6 +34,22 @@ depthBelow(double threshold, MilliVolt v)
 struct Thresholds
 {
     double sdc, ce, ue, ac, sc;
+
+    /** Every threshold raised by one epoch's @p droop_mv. */
+    Thresholds raisedBy(double droop_mv) const
+    {
+        return {sdc + droop_mv, ce + droop_mv, ue + droop_mv,
+                ac + droop_mv, sc + droop_mv};
+    }
+
+    /** True when supply @p v sits at or below any threshold: the
+     *  comparisons injectFaults() makes before each of its draws. */
+    bool reachedBy(MilliVolt v) const
+    {
+        const double supply = static_cast<double>(v);
+        return supply <= sdc || supply <= ce || supply <= ue ||
+               supply <= ac || supply <= sc;
+    }
 };
 
 /**
@@ -57,22 +73,17 @@ drawThresholds(const OnsetSet &onsets, Celsius temperature,
 
 /**
  * Fault step of one epoch at supply @p v: inject every effect whose
- * threshold, raised by this epoch's droop, the supply sits at or
- * below. Returns true when a crash ended the run.
+ * threshold, raised by this epoch's droop (@p raised), the supply
+ * sits at or below. Draws from @p fault_rng only when
+ * raised.reachedBy(v). Returns true when a crash ended the run.
  */
 bool
-injectFaults(CoreId core, const Thresholds &t, double droop_mv,
-             MilliVolt v, uint32_t epoch, util::Rng &fault_rng,
-             RunResult &result)
+injectFaults(CoreId core, const Thresholds &raised, MilliVolt v,
+             uint32_t epoch, util::Rng &fault_rng, RunResult &result)
 {
-    const double e_sdc = t.sdc + droop_mv;
-    const double e_ce = t.ce + droop_mv;
-    const double e_ue = t.ue + droop_mv;
-    const double e_ac = t.ac + droop_mv;
-    const double e_sc = t.sc + droop_mv;
     // Corrected errors: ECC events on the L2/L3 access paths.
-    if (static_cast<double>(v) <= e_ce) {
-        const double depth = depthBelow(e_ce, v);
+    if (static_cast<double>(v) <= raised.ce) {
+        const double depth = depthBelow(raised.ce, v);
         const uint64_t events =
             1 + fault_rng.poisson(0.6 * (1.0 + 0.4 * depth));
         result.correctedErrors += events;
@@ -89,8 +100,8 @@ injectFaults(CoreId core, const Thresholds &t, double droop_mv,
         result.errors.push_back(record);
     }
     // Uncorrected (but detected) errors.
-    if (static_cast<double>(v) <= e_ue) {
-        const double depth = depthBelow(e_ue, v);
+    if (static_cast<double>(v) <= raised.ue) {
+        const double depth = depthBelow(raised.ue, v);
         const uint64_t events =
             fault_rng.poisson(0.10 * (1.0 + 0.3 * depth));
         if (events) {
@@ -106,16 +117,16 @@ injectFaults(CoreId core, const Thresholds &t, double droop_mv,
         }
     }
     // Silent data corruption from datapath timing failures.
-    if (static_cast<double>(v) <= e_sdc) {
-        const double depth = depthBelow(e_sdc, v);
+    if (static_cast<double>(v) <= raised.sdc) {
+        const double depth = depthBelow(raised.sdc, v);
         result.sdcEvents +=
             fault_rng.poisson(0.30 * (1.0 + 0.5 * depth));
     }
     // System crash: the machine goes unresponsive. Checked before
     // the application-crash draw — deep undervolt hangs the whole
     // machine faster than it can kill one process.
-    if (static_cast<double>(v) <= e_sc) {
-        const double depth = depthBelow(e_sc, v);
+    if (static_cast<double>(v) <= raised.sc) {
+        const double depth = depthBelow(raised.sc, v);
         const double p = std::min(1.0, 0.25 * (1.0 + 0.8 * depth));
         if (fault_rng.bernoulli(p)) {
             result.systemCrashed = true;
@@ -124,8 +135,8 @@ injectFaults(CoreId core, const Thresholds &t, double droop_mv,
     }
     // Application crash: control-flow corruption. Capped well below
     // certainty so the system-crash path still dominates at depth.
-    if (static_cast<double>(v) <= e_ac) {
-        const double depth = depthBelow(e_ac, v);
+    if (static_cast<double>(v) <= raised.ac) {
+        const double depth = depthBelow(raised.ac, v);
         const double p = std::min(0.45, 0.08 * (1.0 + 0.6 * depth));
         if (fault_rng.bernoulli(p)) {
             result.applicationCrashed = true;
@@ -408,8 +419,13 @@ Core::execute(const wl::WorkloadProfile &workload,
     uint64_t total_cycles = 0;
     double prev_ipc = -1.0;
 
+    // Write-intent draws a measurement run owes fault_rng: made only
+    // before a fault draw that would see their position.
+    uint64_t owed_draws = 0;
+
     for (uint32_t epoch = 0; epoch < epochs; ++epoch) {
-        const wl::EpochActivity act = generator.epoch(epoch);
+        const wl::EpochActivity act =
+            count ? generator.epoch(epoch) : generator.timing(epoch);
         total_instr += act.instructions;
         total_cycles += act.cycles;
 
@@ -427,16 +443,23 @@ Core::execute(const wl::WorkloadProfile &workload,
             countEpoch(act, workload, config, *streams, fault_rng);
         } else {
             // Measurement run: nothing reads the cache walk, so skip
-            // it and the PMU update, but consume the write-intent
-            // draws (one next() per bernoulli) so every fault draw
-            // below sees the same fault_rng position.
-            for (uint32_t s = 0; s < config.dataSamplesPerEpoch; ++s)
-                (void)fault_rng.next();
+            // it and the PMU update. It still owes fault_rng the
+            // write-intent draws (one next() per bernoulli) so every
+            // fault draw sees the same position.
+            owed_draws += config.dataSamplesPerEpoch;
         }
         result.epochsExecuted = epoch + 1;
 
-        if (injectFaults(id_, thresholds, droop_mv, config.voltage,
-                         epoch, fault_rng, result))
+        // injectFaults() draws nothing unless a threshold is reached.
+        // Only then are the owed draws made; a run that never gets
+        // there drops them along with its fault_rng.
+        const Thresholds raised = thresholds.raisedBy(droop_mv);
+        if (!raised.reachedBy(config.voltage))
+            continue;
+        for (; owed_draws > 0; --owed_draws)
+            (void)fault_rng.next();
+        if (injectFaults(id_, raised, config.voltage, epoch, fault_rng,
+                         result))
             break;
     }
 

@@ -5,9 +5,10 @@
  * A Core "runs" a workload profile epoch by epoch: the activity
  * generator supplies event counts, sampled address streams drive the
  * functional cache hierarchy, the PMU accumulates the 101 counters
- * (both on profiling runs only, see Core::measure()),
- * and the fault layer injects undervolting effects according to the
- * margin model's ground-truth onsets.
+ * (a measurement run skips the last two and draws only each
+ * epoch's timing, see Core::measure()), and the fault layer
+ * injects undervolting effects according to the margin model's
+ * ground-truth onsets.
  *
  * Fault semantics per run: for every effect class the run draws a
  * jittered threshold around the onset (run-to-run non-determinism);
@@ -126,14 +127,21 @@ class Core
                   const ExecutionConfig &config);
 
     /**
-     * Measurement run: run() without the address streams, the cache
-     * walks and the PMU. RunResult::counters stays all zero; every
-     * other field is bit-identical to run()'s for the same config.
-     * That is exact because the address streams draw from their own
-     * seeded RNGs and the cache walk's outcome feeds only the
-     * counters; the one shared stream, fault_rng, still advances by
-     * dataSamplesPerEpoch draws per epoch in place of the
-     * write-intent draws it would have fed the walk.
+     * Measurement run: run() reduced to what the outcome reads.
+     * RunResult::counters stays all zero; every other field is
+     * bit-identical to run()'s for the same config. Per epoch it
+     * computes only the instructions and cycles
+     * (ActivityGenerator::timing()), the droop and, when the supply
+     * reaches a threshold, the fault draws. Each skip is exact:
+     *  - the other activity counts and the cache walk feed only the
+     *    counters, and each epoch's activity and the address streams
+     *    draw from their own seeded RNGs;
+     *  - the one shared stream, fault_rng, owes dataSamplesPerEpoch
+     *    draws per epoch in place of the write-intent draws it would
+     *    have fed the walk. They are counted, and made just before
+     *    the next fault draw so it sees the same position; a run
+     *    whose supply never reaches a threshold drops them with its
+     *    fault_rng, since nothing draws from it afterwards.
      *
      * The one thing a measurement run does not reproduce is the
      * cache contents it leaves behind: the hierarchy stays as the

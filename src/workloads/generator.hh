@@ -126,9 +126,21 @@ class ActivityGenerator
     /** Generate the counts for epoch @p index. */
     EpochActivity epoch(uint32_t index) const;
 
+    /**
+     * Epoch @p index's instructions and cycles, equal to epoch()'s;
+     * every other count stays zero. A measurement run reads nothing
+     * else, and each epoch draws from its own stream, so the draws
+     * skipped after the first two move nothing that is read.
+     */
+    EpochActivity timing(uint32_t index) const;
+
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    /** Epoch @p index's own stream, with its timing drawn into
+     *  @p act: the two draws epoch() and timing() share. */
+    util::Rng drawTiming(uint32_t index, EpochActivity &act) const;
+
     WorkloadProfile profile_;
     Seed seed_;
 };

@@ -11,12 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fleet.hh"
 #include "core/framework.hh"
+#include "core/ledger.hh"
 #include "core/resultstore.hh"
 #include "workloads/spec.hh"
 
@@ -198,6 +204,115 @@ TEST(FleetExecutor, SharedCacheServesEveryChipApart)
         EXPECT_EQ(entry.report.telemetry.cacheHits, 8u);
     EXPECT_EQ(cached.serialize(), fresh.serialize());
     std::remove(path.c_str());
+}
+
+/** FNV-1a 64 of @p bytes, chained from @p hash. */
+uint64_t
+fnv(uint64_t hash, std::string_view bytes)
+{
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * FNV-1a 64 of a cell ledger file with its commit units (a cell's
+ * run frames plus its commit frame) in sorted order. Workers append
+ * cells in completion order, which even one pool worker does not
+ * fix, so the hash covers every byte the writer produced (magic,
+ * header frame, every cell's frames) except that order.
+ */
+uint64_t
+canonicalLedgerHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    const std::string file{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    const std::string_view bytes = file;
+    const size_t magic = sizeof(kLedgerMagic) - 1;
+    FrameCursor cursor(bytes, magic);
+    std::string_view payload;
+    uint32_t checksum = 0;
+    EXPECT_EQ(cursor.next(payload, checksum), FrameCursor::Status::Frame)
+        << "header frame";
+    const size_t header_end = cursor.offset();
+
+    std::vector<std::string_view> units;
+    size_t unit_start = header_end;
+    FrameCursor::Status status;
+    while ((status = cursor.next(payload, checksum)) ==
+           FrameCursor::Status::Frame) {
+        if (!payload.empty() &&
+            payload[0] == static_cast<char>(LedgerRecord::Kind::Commit)) {
+            units.push_back(
+                bytes.substr(unit_start, cursor.offset() - unit_start));
+            unit_start = cursor.offset();
+        }
+    }
+    EXPECT_EQ(status, FrameCursor::Status::End);
+    EXPECT_EQ(unit_start, bytes.size()) << "uncommitted tail";
+
+    std::sort(units.begin(), units.end());
+    uint64_t hash = fnv(0xcbf29ce484222325ULL, bytes.substr(0, header_end));
+    for (const std::string_view unit : units)
+        hash = fnv(hash, unit);
+    return hash;
+}
+
+TEST(FleetExecutor, JournalAndCacheBytesArePinned)
+{
+    // The journal and cache bytes are a pure function of the sweep
+    // up to cell order, so any change to record encoding, framing or
+    // commit contents shows here even when every replayed report
+    // still matches. One and eight workers must write the same
+    // cells, and the eight-worker files must replay the report:
+    // journal first, then the cache on its own.
+    const std::vector<std::string> chips = {"TTT", "TFF:2"};
+    const uint64_t journal_hash = 0x68ec960c1bf922f4ULL;
+    const uint64_t cache_hash = 0x32a7b6585d390800ULL;
+    sim::Platform platform = templatePlatform();
+    FleetExecutor executor(&platform);
+    std::string bytes;
+    for (const int workers : {1, 8}) {
+        SCOPED_TRACE(testing::Message() << workers << " workers");
+        const std::string suffix = "_w" + std::to_string(workers);
+        const std::string journal =
+            "/tmp/vmargin_fleet_pin_journal" + suffix;
+        const std::string cache = "/tmp/vmargin_fleet_pin_cache" + suffix;
+        std::remove(journal.c_str());
+        std::remove(cache.c_str());
+
+        FleetConfig config;
+        config.chips = parseFleetSpec(chips);
+        config.framework = sweepConfig();
+        config.framework.workers = workers;
+        config.framework.journalPath = journal;
+        config.framework.cachePath = cache;
+        const std::string fresh = executor.run(config).serialize();
+        if (bytes.empty())
+            bytes = fresh;
+        EXPECT_EQ(fresh, bytes);
+        EXPECT_EQ(canonicalLedgerHash(journal), journal_hash)
+            << "journal bytes changed";
+        EXPECT_EQ(canonicalLedgerHash(cache), cache_hash)
+            << "cell cache bytes changed";
+
+        const FleetReport from_journal = executor.run(config);
+        for (const auto &entry : from_journal.chips)
+            EXPECT_EQ(entry.report.telemetry.journalReplays, 8u);
+        EXPECT_EQ(from_journal.serialize(), bytes);
+        config.framework.journalPath.clear();
+        const FleetReport from_cache = executor.run(config);
+        for (const auto &entry : from_cache.chips)
+            EXPECT_EQ(entry.report.telemetry.cacheHits, 8u);
+        EXPECT_EQ(from_cache.serialize(), bytes);
+
+        std::remove(journal.c_str());
+        std::remove(cache.c_str());
+    }
 }
 
 TEST(FleetExecutorDeath, RefusesJournalFromDifferentFleet)

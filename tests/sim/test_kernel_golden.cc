@@ -200,6 +200,71 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
 }
 
 /**
+ * Droop-driven runs: the supply sits above every threshold a run can
+ * draw, so no effect can fire without droop, and epoch 0 has none
+ * (there is no previous epoch to swing from). Only an epoch-to-epoch
+ * IPC swing raises a threshold to the supply, so each of these runs
+ * makes its first fault draw after at least one fault-free epoch,
+ * with write-intent draws a measurement run still owes fault_rng.
+ * Core::measure must make them before that draw to reproduce
+ * Core::run.
+ */
+TEST(KernelGolden, DroopDrivenMeasurementMatchesProfiling)
+{
+    XGene2Params params;
+    CacheHierarchy caches(params);
+    Core core(0, params, &caches);
+
+    OnsetSet onsets;
+    onsets.sdc = 900;
+    onsets.ce = 905;
+    onsets.ue = 885;
+    onsets.ac = 880;
+    onsets.sc = 870;
+    // A Box-Muller deviate stays below 8.6 sigma (its radius is at
+    // most sqrt(-2 ln 2^-53)), and the widest threshold jitter is
+    // 4.5 mV at the 43 C default: no threshold is drawn 39 mV or
+    // more above its onset.
+    const MilliVolt above_every_threshold = onsets.highest() + 40;
+
+    int late_fault_runs = 0;
+    for (const char *workload : {"mcf/ref", "bwaves/ref"}) {
+        const auto &profile = wl::findWorkload(workload);
+        for (const MilliVolt v :
+             {above_every_threshold, above_every_threshold + 15}) {
+            for (const double sensitivity : {800.0, 1500.0}) {
+                for (uint64_t i = 0; i < 8; ++i) {
+                    ExecutionConfig config;
+                    config.voltage = v;
+                    config.seed = util::mixSeed(0xD200FULL, i);
+                    config.maxEpochs = 20;
+                    config.droopSensitivityMv = sensitivity;
+                    SCOPED_TRACE(testing::Message()
+                                 << workload << " at " << v
+                                 << " mV, droop " << sensitivity
+                                 << " mV, seed " << i);
+                    caches.invalidateAll();
+                    const RunResult on =
+                        core.run(profile, onsets, config);
+                    caches.invalidateAll();
+                    const RunResult off =
+                        core.measure(profile, onsets, config);
+                    expectSameOutcome(on, off);
+                    if (!on.errors.empty()) {
+                        EXPECT_GE(on.errors.front().epoch, 1u)
+                            << "epoch 0 has no droop and cannot fault";
+                    }
+                    if (on.abnormal() || on.sdcEvents > 0)
+                        ++late_fault_runs;
+                }
+            }
+        }
+    }
+    // The comparison only bites if droop made fault draws happen.
+    EXPECT_GE(late_fault_runs, 8);
+}
+
+/**
  * The governor daemon's call shape: measurement runs of at most 8
  * epochs through Platform::runWorkload on a long-lived platform
  * settled before each run, with a round seed and its 0x5AFE

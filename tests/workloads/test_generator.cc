@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "workloads/generator.hh"
+#include "workloads/selftest.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin::wl
@@ -42,6 +44,30 @@ TEST(ActivityGenerator, OrderIndependent)
     const auto sequential = a.epoch(2);
     EXPECT_EQ(direct.instructions, sequential.instructions);
     EXPECT_EQ(direct.cycles, sequential.cycles);
+}
+
+TEST(ActivityGenerator, TimingEqualsEpochInstructionsAndCycles)
+{
+    // A measurement run reads only timing(); it must see exactly the
+    // counts a profiling run reads from epoch(), for every workload
+    // the kernel can run.
+    std::vector<WorkloadProfile> catalog = fullSuite();
+    for (const auto &selftest : selfTestSuite())
+        catalog.push_back(selftest);
+    for (const auto &profile : catalog) {
+        for (const Seed seed : {Seed{1}, Seed{0x5EED}, Seed{~0ULL}}) {
+            SCOPED_TRACE(testing::Message()
+                         << profile.id() << ", seed " << seed);
+            const ActivityGenerator gen(profile, seed);
+            for (uint32_t e = 0; e < profile.epochs; ++e) {
+                const EpochActivity full = gen.epoch(e);
+                const EpochActivity timing = gen.timing(e);
+                EXPECT_EQ(timing.instructions, full.instructions)
+                    << "epoch " << e;
+                EXPECT_EQ(timing.cycles, full.cycles) << "epoch " << e;
+            }
+        }
+    }
 }
 
 TEST(ActivityGenerator, SeedChangesActivity)
